@@ -19,8 +19,13 @@ namespace perfbench {
 /// True in the binary whose operator new counts.
 bool allocationsCounted();
 
-/// Global operator new calls since process start (0 when not counted).
+/// Global operator new calls counted since process start (0 when not
+/// counted).
 uint64_t allocationCount();
+
+/// Turns counting on (the default) or off, so untraced replays of the
+/// traced binary pay nothing for it. No effect in the plain binary.
+void setAllocationCounting(bool On);
 
 } // namespace perfbench
 

@@ -17,14 +17,17 @@
 namespace {
 
 std::atomic<uint64_t> Count{0};
+bool Counting = true;
 
 void *countedMalloc(std::size_t Size) {
-  Count.fetch_add(1, std::memory_order_relaxed);
+  if (Counting)
+    Count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(Size ? Size : 1);
 }
 
 void *countedAligned(std::size_t Size, std::align_val_t Align) {
-  Count.fetch_add(1, std::memory_order_relaxed);
+  if (Counting)
+    Count.fetch_add(1, std::memory_order_relaxed);
   std::size_t A = static_cast<std::size_t>(Align);
   std::size_t Rounded = (Size + A - 1) & ~(A - 1);
   return std::aligned_alloc(A, Rounded ? Rounded : A);
@@ -36,6 +39,7 @@ bool perfbench::allocationsCounted() { return true; }
 uint64_t perfbench::allocationCount() {
   return Count.load(std::memory_order_relaxed);
 }
+void perfbench::setAllocationCounting(bool On) { Counting = On; }
 
 void *operator new(std::size_t Size) {
   if (void *P = countedMalloc(Size))

@@ -10,3 +10,4 @@
 
 bool perfbench::allocationsCounted() { return false; }
 uint64_t perfbench::allocationCount() { return 0; }
+void perfbench::setAllocationCounting(bool) {}

@@ -8,10 +8,11 @@
 ///              latency_p50_ms / latency_p90_ms / ops_per_s over the
 ///              per-op minima across replays, peak_rss_mb.
 ///   --trace 1  the per-layer metrics. Even replays record spans, work
-///              counts and allocations; odd replays run untraced, and
-///              their p50 against the traced p50 gives the tracing
-///              overhead. A Chrome trace of the first replay and a
-///              per-layer JSON with self times go to --out.
+///              counts (per op, and the table work of set-up) and
+///              allocations; odd replays run untraced with allocation
+///              counting off, and their p50 against the traced p50 gives
+///              the tracing overhead. A Chrome trace of the first replay
+///              and a per-layer JSON with self times go to --out.
 ///
 /// Every op is checked against an oracle outside the timed path; any
 /// failure makes the run exit 1. The last stdout line is the JSON result;
@@ -26,6 +27,7 @@
 #include "Spans.h"
 #include "Workloads.h"
 
+#include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -58,13 +60,6 @@ uint64_t nowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-uint64_t fnv1a(const void *Data, size_t Size, uint64_t H = 1469598103934665603ull) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Size; ++I)
-    H = (H ^ P[I]) * 1099511628211ull;
-  return H;
 }
 
 /// Linear-interpolated percentile of unsorted \p V (0..100).
@@ -143,6 +138,12 @@ struct RegistryCounters {
       Out.push_back(E.C->total());
     return Out;
   }
+  /// Adds the deltas since \p Before to \p Into.
+  void addDeltas(const std::vector<uint64_t> &Before, Counts &Into) const {
+    for (size_t I = 0; I < Entries.size(); ++I)
+      Into[static_cast<size_t>(Entries[I].Into)] +=
+          Entries[I].C->total() - Before[I];
+  }
 };
 
 /// Everything one run measured.
@@ -156,6 +157,7 @@ struct Measured {
   std::vector<double> PlainMinNs;  ///< Per op, over untraced replays.
   std::vector<double> TracedMinNs; ///< Per op, over traced replays.
   std::vector<Counts> RefCounts;   ///< Per op, the reference replay.
+  Counts RefSetupCounts{};         ///< setUp() of the reference replay.
   uint32_t RefReplay = 0;
   bool CountsRepeat = true;
 };
@@ -168,6 +170,7 @@ Measured replay(Workload &W, SpanLog &Log, const Options &O) {
   M.TracedMinNs.assign(M.Ops, Inf);
   RegistryCounters Registry;
   std::vector<std::vector<Counts>> TracedCounts;
+  std::vector<Counts> TracedSetupCounts;
   const size_t MinReplays = O.Trace ? MinTracedRunReplays : MinPlainReplays;
   const uint64_t Budget = static_cast<uint64_t>(O.Seconds * 1e9);
   const uint64_t Start = nowNs();
@@ -176,11 +179,17 @@ Measured replay(Workload &W, SpanLog &Log, const Options &O) {
   for (uint32_t R = 0; R < MinReplays || nowNs() - Start < Budget; ++R) {
     const bool Traced = O.Trace && R % 2 == 0;
     Log.beginReplay(R, Traced);
+    setAllocationCounting(Traced);
     if (Traced)
       Log.resetCounts(M.Ops);
+    std::vector<uint64_t> SetupBefore = Registry.snapshot();
     uint64_t T0 = nowNs();
     W.setUp();
     M.SetupSeconds.push_back(static_cast<double>(nowNs() - T0) / 1e9);
+    if (Traced) {
+      TracedSetupCounts.emplace_back();
+      Registry.addDeltas(SetupBefore, TracedSetupCounts.back());
+    }
 
     std::vector<double> &Min = Traced ? M.TracedMinNs : M.PlainMinNs;
     for (size_t K = 0; K < M.Ops; ++K) {
@@ -196,9 +205,10 @@ Measured replay(Workload &W, SpanLog &Log, const Options &O) {
       double Ns = static_cast<double>(nowNs() - OpStart);
       Min[K] = std::min(Min[K], Ns);
       if (Traced) {
-        std::vector<uint64_t> After = Registry.snapshot();
-        for (size_t I = 0; I < After.size(); ++I)
-          Log.count(Registry.Entries[I].Into, After[I] - Before[I]);
+        Counts Delta{};
+        Registry.addDeltas(Before, Delta);
+        for (size_t C = 0; C < NumCounts; ++C)
+          Log.count(static_cast<Count>(C), Delta[C]);
       }
       ++M.Attempted;
       std::string Why;
@@ -223,9 +233,11 @@ Measured replay(Workload &W, SpanLog &Log, const Options &O) {
   if (!TracedCounts.empty()) {
     size_t Ref = TracedCounts.size() > 1 ? 1 : 0;
     M.RefCounts = TracedCounts[Ref];
+    M.RefSetupCounts = TracedSetupCounts[Ref];
     M.RefReplay = static_cast<uint32_t>(2 * Ref); // Traced replays are even.
     for (size_t I = Ref + 1; I < TracedCounts.size(); ++I)
-      M.CountsRepeat &= TracedCounts[I] == M.RefCounts;
+      M.CountsRepeat &= TracedCounts[I] == M.RefCounts &&
+                        TracedSetupCounts[I] == M.RefSetupCounts;
   }
   return M;
 }
@@ -320,6 +332,9 @@ std::vector<Metric> perLayer(const Measured &M, const SpanLog &Log) {
   };
   const double Ops = static_cast<double>(N);
   auto PerOp = [&](Count C) { return Total(C) / Ops; };
+  auto SetupCount = [&](Count C) {
+    return static_cast<double>(M.RefSetupCounts[static_cast<size_t>(C)]);
+  };
   const size_t Tenth = std::max<size_t>(1, N / 10);
   auto TenthMean = [&](Count C, bool Last) {
     size_t From = Last ? N - Tenth : 0;
@@ -355,6 +370,8 @@ std::vector<Metric> perLayer(const Measured &M, const SpanLog &Log) {
       {"lr.reexpansions", PerOp(Count::LrReexpansions), "count"},
       {"lr.closure_items", PerOp(Count::LrClosureItems), "count"},
       {"lr.dirty_marks", PerOp(Count::LrDirtyMarks), "count"},
+      {"lr.setup_expansions", SetupCount(Count::LrExpansions), "count"},
+      {"lr.setup_closure_items", SetupCount(Count::LrClosureItems), "count"},
       {"incremental.reparse_us", MeanUs(SpanKind::IncrementalReparse, 0, N),
        "us"},
       {"incremental.gss_nodes_constructed",
@@ -438,10 +455,12 @@ bool writeLayerJson(const std::string &Path, const SpanLog &Log,
 }
 
 uint64_t countsDigest(const Measured &M, const std::vector<Metric> &Metrics) {
-  uint64_t H = fnv1a(M.RefCounts.data(), M.RefCounts.size() * sizeof(Counts));
+  uint64_t H =
+      ipg::hashBytes(M.RefCounts.data(), M.RefCounts.size() * sizeof(Counts));
+  H = ipg::hashBytes(M.RefSetupCounts.data(), sizeof(Counts), H);
   for (const Metric &Mt : Metrics)
     if (Mt.Unit == "count" || Mt.Unit == "B")
-      H = fnv1a(&Mt.Value, sizeof(Mt.Value), H);
+      H = ipg::hashBytes(&Mt.Value, sizeof(Mt.Value), H);
   return H;
 }
 
@@ -467,11 +486,9 @@ int main(int Argc, char **Argv) {
   mallopt(M_MMAP_THRESHOLD, 32 << 20); // glibc's largest accepted value.
 #endif
 
-  std::unique_ptr<Workload> W, Same, Other;
+  std::unique_ptr<Workload> W;
   try {
     W = makeWorkload(O.Workload, O.Seed, IPG_CORPUS_DIR);
-    Same = makeWorkload(O.Workload, O.Seed, IPG_CORPUS_DIR);
-    Other = makeWorkload(O.Workload, O.Seed + 1, IPG_CORPUS_DIR);
   } catch (const std::exception &E) {
     std::fprintf(stderr, "perfbench: %s\n", E.what());
     return 1;
@@ -481,15 +498,8 @@ int main(int Argc, char **Argv) {
                  O.Workload.c_str());
     return 2;
   }
-  // Determinism self-check: the seed alone names the script.
-  std::string Script = W->scriptText();
-  uint64_t ScriptDigest = fnv1a(Script.data(), Script.size());
-  if (Same->scriptText() != Script || Other->scriptText() == Script) {
-    std::fprintf(stderr, "perfbench: op script is not a function of the seed\n");
-    return 1;
-  }
-  Same.reset();
-  Other.reset();
+  // run.py --self-check compares this digest across processes.
+  uint64_t ScriptDigest = ipg::hashString(W->scriptText());
 
   SpanLog Log;
   Measured M;
