@@ -56,6 +56,12 @@ void buildPowerProbe(Grammar &G) {
   B.rule("START", {"S"});
 }
 
+/// The ambiguous sentence "a + a" over buildPowerProbe's grammar.
+std::vector<SymbolId> powerInput(const Grammar &G) {
+  return {G.symbols().lookup("a"), G.symbols().lookup("+"),
+          G.symbols().lookup("a")};
+}
+
 void buildSpeedProbe(Grammar &G) {
   GrammarBuilder B(G);
   B.rule("L", {"L", ";", "x"});
@@ -179,10 +185,7 @@ int main(int argc, char **argv) {
     Grammar GP;
     buildPowerProbe(GP);
     BacktrackRdParser Power(GP, /*StepLimit=*/100'000);
-    RdResult R = Power.countParses(
-        {GP.symbols().lookup("a"), GP.symbols().lookup("+"),
-         GP.symbols().lookup("a")},
-        10);
+    RdResult R = Power.countParses(powerInput(GP), 10);
     Row.PowerAmbiguous = R.Accepted;
     Row.PowerUnbounded = false; // Left recursion diverges (R.LimitHit).
     Row.NoGenerationPhase = true;
@@ -201,9 +204,7 @@ int main(int argc, char **argv) {
     Grammar GP;
     buildPowerProbe(GP);
     EarleyParser Power(GP);
-    Row.PowerAmbiguous = Power.recognize(
-        {GP.symbols().lookup("a"), GP.symbols().lookup("+"),
-         GP.symbols().lookup("a")});
+    Row.PowerAmbiguous = Power.recognize(powerInput(GP));
     Row.PowerUnbounded = true;
     Row.NoGenerationPhase = true;
     Rows.push_back(Row);
@@ -224,9 +225,7 @@ int main(int argc, char **argv) {
     buildPowerProbe(GP);
     ItemSetGraph PGraph(GP);
     GlrParser Power(PGraph);
-    Row.PowerAmbiguous = Power.recognize(
-        {GP.symbols().lookup("a"), GP.symbols().lookup("+"),
-         GP.symbols().lookup("a")});
+    Row.PowerAmbiguous = Power.recognize(powerInput(GP));
     Row.PowerUnbounded = true;
     Row.ModifyRatio = 1.0;
     Rows.push_back(Row);
@@ -245,9 +244,7 @@ int main(int argc, char **argv) {
     Grammar GP;
     buildPowerProbe(GP);
     Ipg Power(GP);
-    Row.PowerAmbiguous = Power.recognize(
-        {GP.symbols().lookup("a"), GP.symbols().lookup("+"),
-         GP.symbols().lookup("a")});
+    Row.PowerAmbiguous = Power.recognize(powerInput(GP));
     Row.PowerUnbounded = true;
     // Flexible: MODIFY on an SDF-sized table vs regenerating it. The
     // tiny speed-probe grammar would hide the gap; the real workload

@@ -116,26 +116,9 @@ void BM_EarleyParseSdf(benchmark::State &State) {
 }
 BENCHMARK(BM_EarleyParseSdf);
 
-void BM_ActionQueryWarm(benchmark::State &State) {
-  SdfLanguage Lang;
-  ItemSetGraph Graph(Lang.grammar());
-  Graph.generateAll();
-  ItemSet *Start = Graph.startSet();
-  SymbolId Module = Lang.grammar().symbols().lookup("module");
-  for (auto _ : State) {
-    // The deleted vector-returning actions() wrapper, reconstructed
-    // locally: the allocating baseline the view API is measured against.
-    std::vector<LrAction> Out;
-    Graph.forEachAction(Start, Module,
-                        [&](const LrAction &A) { Out.push_back(A); });
-    benchmark::DoNotOptimize(Out);
-  }
-}
-BENCHMARK(BM_ActionQueryWarm);
-
-/// The allocation-free counterpart of BM_ActionQueryWarm: same cell, same
-/// graph, queried through the view API the parser drivers use. The gap
-/// between the two is the per-query vector allocation the index removed.
+/// One warm ACTION query on SDF's start state through the view API the
+/// parser drivers use: a reduction span plus a binary-searched shift
+/// target, with no allocation per query.
 void BM_ActionQueryViewWarm(benchmark::State &State) {
   SdfLanguage Lang;
   ItemSetGraph Graph(Lang.grammar());

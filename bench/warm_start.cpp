@@ -3,23 +3,21 @@
 /// \file
 /// The snapshot subsystem's headline numbers, on the 12x-SDF grammar (the
 /// "much larger than the grammar of SDF" regime of §7): cold full
-/// generation vs. adopting a persisted graph (`Ipg::loadSnapshot`) in both
-/// on-disk encodings — v1 (varint decode) and v2 (mmap + validate + pool
-/// adoption, the zero-copy fast path) — and, the cross-process
-/// extension of §6, repairing a *stale* snapshot whose grammar differs by
-/// one rule vs. regenerating the modified grammar from scratch. Also pins
-/// the byte-determinism contract the CI job relies on for both formats:
-/// the same graph serializes to identical bytes, and a
-/// fingerprint-matched save→load→save round trip reproduces each file
-/// exactly.
+/// generation vs. adopting a persisted graph (`Ipg::loadSnapshot`: mmap +
+/// validate + pool adoption, the zero-copy fast path) and, the
+/// cross-process extension of §6, repairing a *stale* snapshot whose
+/// grammar differs by one rule (the decode + remap path) vs. regenerating
+/// the modified grammar from scratch. Also pins the byte-determinism
+/// contract the CI job relies on: the same graph serializes to identical
+/// bytes, and a fingerprint-matched save→load→save round trip reproduces
+/// the file exactly.
 ///
-/// The snapshots written here (`warm_start.snapshot` = v1,
-/// `warm_start_v2.snapshot` = v2, in the working directory) double as the
-/// CI determinism artifacts, alongside `warm_start_resaved.snapshot` /
-/// `warm_start_v2_resaved.snapshot` — each format's save-after-load
-/// output, which the CI job cmps against the original file (with the
-/// flat-arena layout, save-after-load identity is a layout invariant,
-/// not just a decode-encode symmetry).
+/// The snapshot written here (`warm_start_v2.snapshot`, in the working
+/// directory) doubles as the CI determinism artifact, alongside
+/// `warm_start_v2_resaved.snapshot` — its save-after-load output, which
+/// the CI job cmps against the original file (with the flat-arena layout,
+/// save-after-load identity is a layout invariant, not just a
+/// decode-encode symmetry).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,64 +58,44 @@ bool filesEqual(const std::string &A, const std::string &B) {
   return BytesA && BytesB && *BytesA == *BytesB;
 }
 
-/// Per-format save-side facts, pinned once per encoding.
-struct SaveFacts {
-  size_t Bytes = 0;
-  bool SaveOk = false;
-  bool SaveTwiceIdentical = false;
-};
-
 } // namespace
 
 int main(int argc, char **argv) {
   BenchHarness H("warm_start", argc, argv);
   std::printf("snapshot warm start — 12x-SDF grammar, Exam.sdf input\n\n");
 
-  const std::string SnapV1 = "warm_start.snapshot";
-  const std::string SnapV2 = "warm_start_v2.snapshot";
+  const std::string Snap = "warm_start_v2.snapshot";
   const int Copies = 12;
   const std::string_view InputText = sdfSamples()[1].Text;
 
-  // Produce both snapshots from the same fully generated graph, and pin
-  // the serialize-twice byte-determinism contract per format.
-  size_t ColdStates = 0;
-  SaveFacts V1, V2;
+  // Produce the snapshot from a fully generated graph, and pin the
+  // serialize-twice byte-determinism contract.
+  size_t ColdStates = 0, SnapBytes = 0;
+  bool SaveOk = false, SaveTwiceIdentical = false;
   {
     Grammar G;
     buildScaledSdf(G, Copies);
     Ipg Gen(G);
     ColdStates = Gen.generateAll();
-    auto SaveBoth = [&](const std::string &Path, SnapshotFormat Format,
-                        SaveFacts &Facts) {
-      Expected<size_t> Saved = Gen.saveSnapshot(Path, Format);
-      Facts.SaveOk = static_cast<bool>(Saved);
-      Facts.Bytes = Facts.SaveOk ? *Saved : 0;
-      if (Gen.saveSnapshot("warm_start_again.snapshot", Format))
-        Facts.SaveTwiceIdentical =
-            filesEqual(Path, "warm_start_again.snapshot");
-      std::remove("warm_start_again.snapshot");
-    };
-    SaveBoth(SnapV1, SnapshotFormat::V1, V1);
-    SaveBoth(SnapV2, SnapshotFormat::V2, V2);
+    Expected<size_t> Saved = Gen.saveSnapshot(Snap);
+    SaveOk = static_cast<bool>(Saved);
+    SnapBytes = SaveOk ? *Saved : 0;
+    if (Gen.saveSnapshot("warm_start_again.snapshot"))
+      SaveTwiceIdentical = filesEqual(Snap, "warm_start_again.snapshot");
+    std::remove("warm_start_again.snapshot");
   }
 
-  // Save cost per format, on a separate fully generated graph. v1 walks
-  // every live set through a dense-index remap; v2 is a header plus a
+  // Save cost, on a separate fully generated graph: a header plus a
   // memcpy of the pools — the flat-arena layout's save-side win.
-  double SaveV1 = 0, SaveV2 = 0;
+  double Save = 0;
   {
     Grammar G;
     buildScaledSdf(G, Copies);
     Ipg Gen(G);
     Gen.generateAll();
-    SaveV1 = H.measure("warm_start/snapshot_save_v1", 9, [&] {
-                (void)Gen.saveSnapshot("warm_start_save_probe.snapshot",
-                                       SnapshotFormat::V1);
-              }).Median;
-    SaveV2 = H.measure("warm_start/snapshot_save_v2", 9, [&] {
-                (void)Gen.saveSnapshot("warm_start_save_probe.snapshot",
-                                       SnapshotFormat::V2);
-              }).Median;
+    Save = H.measure("warm_start/snapshot_save_v2", 9, [&] {
+              (void)Gen.saveSnapshot("warm_start_save_probe.snapshot");
+            }).Median;
     std::remove("warm_start_save_probe.snapshot");
   }
 
@@ -129,64 +107,42 @@ int main(int argc, char **argv) {
                    Graph.generateAll();
                  }).Median;
 
-  // Warm starts: same grammar, graph adopted from each snapshot format.
-  // v1 pays a per-record varint decode; v2's layout-match path is mmap +
+  // Warm start: same grammar, so the layout-match path runs — mmap +
   // validate + adopting the mapped arrays as the graph's pool bases.
-  auto MeasureLoad = [&](const std::string &Name, const std::string &Path,
-                         bool &LoadOk, bool &Matched, size_t &LoadedStates) {
-    return H.measure(Name, 9, [&] {
-              Grammar G;
-              buildScaledSdf(G, Copies);
-              Ipg Gen(G);
-              Expected<SnapshotLoadResult> R = Gen.loadSnapshot(Path);
-              LoadOk = LoadOk && static_cast<bool>(R);
-              if (R) {
-                Matched = R->FingerprintMatched;
-                LoadedStates = R->StatesLoaded;
-              }
-            }).Median;
-  };
-  bool LoadV1Ok = true, MatchedV1 = false;
-  bool LoadV2Ok = true, MatchedV2 = false;
-  size_t LoadedStatesV1 = 0, LoadedStatesV2 = 0;
-  double LoadV1 = MeasureLoad("warm_start/snapshot_load_v1", SnapV1, LoadV1Ok,
-                              MatchedV1, LoadedStatesV1);
-  double LoadV2 = MeasureLoad("warm_start/snapshot_load_v2", SnapV2, LoadV2Ok,
-                              MatchedV2, LoadedStatesV2);
+  bool LoadOk = true, Matched = false;
+  size_t LoadedStates = 0;
+  double Load = H.measure("warm_start/snapshot_load_v2", 9, [&] {
+                   Grammar G;
+                   buildScaledSdf(G, Copies);
+                   Ipg Gen(G);
+                   Expected<SnapshotLoadResult> R = Gen.loadSnapshot(Snap);
+                   LoadOk = LoadOk && static_cast<bool>(R);
+                   if (R) {
+                     Matched = R->FingerprintMatched;
+                     LoadedStates = R->StatesLoaded;
+                   }
+                 }).Median;
 
-  // Round-trip determinism and parse equivalence of the adopted graphs.
-  bool RoundTripV1 = false, RoundTripV2 = false, WarmParseOk = false;
+  // Round-trip determinism and parse equivalence of the adopted graph.
+  // The resaved file is left in place on purpose: the CI
+  // snapshot-determinism job cmps it against the original.
+  bool RoundTrip = false, WarmParseOk = false;
   {
-    // The resaved files are left in place on purpose: the CI
-    // snapshot-determinism job cmps them against the originals.
-    auto RoundTrip = [&](const std::string &Path, const std::string &Resaved,
-                         SnapshotFormat Format, bool CheckParse) {
-      Grammar G;
-      buildScaledSdf(G, Copies);
-      Ipg Gen(G);
-      bool Identical = false;
-      if (Gen.loadSnapshot(Path)) {
-        if (Gen.saveSnapshot(Resaved, Format))
-          Identical = filesEqual(Path, Resaved);
-        if (CheckParse)
-          WarmParseOk = Gen.recognize(tokenize(G, InputText));
-      }
-      return Identical;
-    };
-    RoundTripV1 =
-        RoundTrip(SnapV1, "warm_start_resaved.snapshot", SnapshotFormat::V1,
-                  false);
-    RoundTripV2 = RoundTrip(SnapV2, "warm_start_v2_resaved.snapshot",
-                            SnapshotFormat::V2, true);
+    const std::string Resaved = "warm_start_v2_resaved.snapshot";
+    Grammar G;
+    buildScaledSdf(G, Copies);
+    Ipg Gen(G);
+    if (Gen.loadSnapshot(Snap)) {
+      if (Gen.saveSnapshot(Resaved))
+        RoundTrip = filesEqual(Snap, Resaved);
+      WarmParseOk = Gen.recognize(tokenize(G, InputText));
+    }
   }
 
   // Stale repair: the live grammar gained one rule since the snapshot was
-  // taken. loadSnapshot decodes the old graph and replays the delta
-  // through ADD-RULE; the parse re-expands only what the §6 MODIFY
-  // invalidated. The *timed* scenario keeps loading the v1 file so the
-  // `stale_repair_parse` trajectory stays comparable across PRs (stale
-  // loads decode either way — zero-copy needs a layout match); the v2
-  // stale path is verified untimed below with the same §6 evidence.
+  // taken. loadSnapshot decodes the old graph (zero-copy needs a layout
+  // match) and replays the delta through ADD-RULE; the parse re-expands
+  // only what the §6 MODIFY invalidated.
   std::vector<SymbolId> ModifiedTokens;
   {
     Grammar G;
@@ -198,47 +154,34 @@ int main(int argc, char **argv) {
   bool StaleLoadOk = true, StaleMatched = true, StaleParseOk = true;
   size_t RulesAdded = 0, RulesRemoved = 0;
   uint64_t RepairReExpansions = 0;
-  double Repair =
-      H.measure("warm_start/stale_repair_parse", 9, [&] {
-         Grammar G;
-         buildScaledSdf(G, Copies);
-         auto [MLhs, MRhs] = scaledSdfModification(G);
-         G.addRule(MLhs, std::move(MRhs));
-         Ipg Gen(G);
-         Expected<SnapshotLoadResult> R = Gen.loadSnapshot(SnapV1);
-         StaleLoadOk = StaleLoadOk && static_cast<bool>(R);
-         if (R) {
-           StaleMatched = R->FingerprintMatched;
-           RulesAdded = R->RulesAdded;
-           RulesRemoved = R->RulesRemoved;
-         }
-         StaleParseOk = StaleParseOk && Gen.recognize(ModifiedTokens);
-         RepairReExpansions = Gen.stats().ReExpansions;
-       }).Median;
-
-  // The v2 stale path, untimed: same one-rule delta, same bounded
-  // re-expansion contract, through the flat decode fallback. Under
-  // --trace, every §6 re-expansion emits an "lr.reexpand" span, so the
-  // tracer must agree with the sharded counter — the cross-check that
-  // keeps the trace trustworthy as §6 evidence.
-  bool StaleV2Ok = false, StaleV2ParseOk = false;
-  size_t RulesAddedV2 = 0;
-  uint64_t RepairReExpansionsV2 = 0;
-  uint64_t ReExpandSpansBefore =
-      trace::enabled() ? trace::eventCount("lr.reexpand") : 0;
-  {
+  auto RepairAndParse = [&] {
     Grammar G;
     buildScaledSdf(G, Copies);
     auto [MLhs, MRhs] = scaledSdfModification(G);
     G.addRule(MLhs, std::move(MRhs));
     Ipg Gen(G);
-    Expected<SnapshotLoadResult> R = Gen.loadSnapshot(SnapV2);
+    Expected<SnapshotLoadResult> R = Gen.loadSnapshot(Snap);
+    StaleLoadOk = StaleLoadOk && static_cast<bool>(R);
     if (R) {
-      StaleV2Ok = !R->FingerprintMatched;
-      RulesAddedV2 = R->RulesAdded + R->RulesRemoved;
-      StaleV2ParseOk = Gen.recognize(ModifiedTokens);
-      RepairReExpansionsV2 = Gen.stats().ReExpansions;
+      StaleMatched = R->FingerprintMatched;
+      RulesAdded = R->RulesAdded;
+      RulesRemoved = R->RulesRemoved;
     }
+    StaleParseOk = StaleParseOk && Gen.recognize(ModifiedTokens);
+    RepairReExpansions = Gen.stats().ReExpansions;
+  };
+  double Repair =
+      H.measure("warm_start/stale_repair_parse", 9, RepairAndParse).Median;
+
+  // Under --trace, every §6 re-expansion emits an "lr.reexpand" span, so
+  // one more (untimed) repair must leave as many spans as the sharded
+  // counter reports — the cross-check that keeps the trace trustworthy as
+  // §6 evidence.
+  uint64_t ReExpandSpans = 0;
+  if (trace::enabled()) {
+    uint64_t Before = trace::eventCount("lr.reexpand");
+    RepairAndParse();
+    ReExpandSpans = trace::eventCount("lr.reexpand") - Before;
   }
 
   // The non-incremental answer to the same situation: regenerate the
@@ -255,76 +198,50 @@ int main(int argc, char **argv) {
 
   TextTable Table({"scenario", "median", "vs cold"});
   Table.addRow({"cold generateAll", ms(Cold), "1.00x"});
-  Table.addRow({"snapshot save v1 (varint encode)", ms(SaveV1), "-"});
-  Table.addRow({"snapshot save v2 (pool memcpy)", ms(SaveV2),
-                formatSeconds(SaveV1 / SaveV2, 2) + "x vs v1"});
-  Table.addRow({"snapshot load v1 (decode)", ms(LoadV1),
-                formatSeconds(Cold / LoadV1, 2) + "x faster"});
-  Table.addRow({"snapshot load v2 (zero-copy)", ms(LoadV2),
-                formatSeconds(Cold / LoadV2, 2) + "x faster"});
-  Table.addRow({"stale repair + parse (v1)", ms(Repair), "-"});
+  Table.addRow({"snapshot save (pool memcpy)", ms(Save), "-"});
+  Table.addRow({"snapshot load (zero-copy)", ms(Load),
+                formatSeconds(Cold / Load, 2) + "x faster"});
+  Table.addRow({"stale repair + parse", ms(Repair), "-"});
   Table.addRow({"regenerate + parse", ms(Regen),
                 formatSeconds(Regen / Repair, 2) + "x slower than repair"});
   Table.print();
-  std::printf("\nsnapshot: v1 %zu bytes, v2 %zu bytes, %zu states; repair "
-              "delta: +%zu/-%zu rules, %llu re-expansions\n",
-              V1.Bytes, V2.Bytes, ColdStates, RulesAdded, RulesRemoved,
+  std::printf("\nsnapshot: %zu bytes, %zu states; repair delta: +%zu/-%zu "
+              "rules, %llu re-expansions\n",
+              SnapBytes, ColdStates, RulesAdded, RulesRemoved,
               static_cast<unsigned long long>(RepairReExpansions));
 
-  H.report().addCounter("warm_start/snapshot_bytes", V1.Bytes);
-  H.report().addCounter("warm_start/snapshot_bytes_v2", V2.Bytes);
+  H.report().addCounter("warm_start/snapshot_bytes_v2", SnapBytes);
   H.report().addCounter("warm_start/full_table_states", ColdStates);
   H.report().addCounter("warm_start/repair_rules_added", RulesAdded);
   H.report().addCounter("warm_start/repair_rules_removed", RulesRemoved);
   H.report().addCounter("warm_start/repair_re_expansions",
                         RepairReExpansions);
-  H.report().addScalar("warm_start/load_speedup_vs_cold", Cold / LoadV1,
-                       "ratio");
-  H.report().addScalar("warm_start/load_speedup_vs_cold_v2", Cold / LoadV2,
-                       "ratio");
-  H.report().addScalar("warm_start/v2_load_speedup_vs_v1", LoadV1 / LoadV2,
+  H.report().addScalar("warm_start/load_speedup_vs_cold_v2", Cold / Load,
                        "ratio");
   H.report().addScalar("warm_start/repair_speedup_vs_regen", Regen / Repair,
                        "ratio");
-  H.report().addScalar("warm_start/v2_save_speedup_vs_v1", SaveV1 / SaveV2,
-                       "ratio");
 
   std::printf("\nshape checks:\n");
-  H.check(V1.SaveOk && V1.Bytes > 0, "v1 snapshot written");
-  H.check(V2.SaveOk && V2.Bytes > 0, "v2 snapshot written");
-  H.check(V1.SaveTwiceIdentical,
-          "serializing the same graph twice is byte-identical (v1)");
-  H.check(V2.SaveTwiceIdentical,
-          "serializing the same graph twice is byte-identical (v2)");
-  H.check(LoadV1Ok && MatchedV1 && LoadV2Ok && MatchedV2,
-          "identical grammar fingerprint-matches both snapshot formats");
-  H.check(LoadedStatesV1 == ColdStates && LoadedStatesV2 == ColdStates,
+  H.check(SaveOk && SnapBytes > 0, "snapshot written");
+  H.check(SaveTwiceIdentical,
+          "serializing the same graph twice is byte-identical");
+  H.check(LoadOk && Matched, "identical grammar fingerprint-matches the "
+                             "snapshot");
+  H.check(LoadedStates == ColdStates,
           "snapshot load materializes the full generated table");
-  H.check(RoundTripV1 && RoundTripV2,
-          "fingerprint-matched save->load->save reproduces each file");
+  H.check(RoundTrip,
+          "fingerprint-matched save->load->save reproduces the file");
   H.check(WarmParseOk, "warm-started graph parses Exam.sdf");
-  // Both formats share the container overhead (fingerprints, checksum,
-  // atomic file write), and v1's varint body is smaller on disk, so the
-  // formats finish within noise of each other end-to-end; what the flat
-  // arena guarantees is that v2's graph serialization is a memcpy, i.e.
-  // save cost can never blow past v1's per-record encode.
-  H.check(H.reduced() || SaveV2 < 2 * SaveV1,
-          "v2 pool-memcpy save stays within 2x of the v1 varint encode");
   // Wall-clock comparisons tolerate noise in the reduced (CI smoke) pass:
   // three repetitions on a shared runner cannot support a strict
   // inequality; the trajectory numbers come from full runs. In full runs
-  // the claims are strict — and the v2 zero-copy load must restore the
-  // decisive warm-start margin over cold generation that PR 4's fast
-  // regeneration erased for v1 (v1 decode holds parity-or-better; the §6
-  // bounded-work evidence stays the re-expansion counter checked below).
+  // the zero-copy load must hold a decisive margin over cold generation
+  // (the §6 bounded-work evidence stays the re-expansion counter checked
+  // below).
   double NoiseBand = H.reduced() ? 1.5 : 1.15;
-  H.check(LoadV1 < Cold * NoiseBand,
-          "v1 snapshot load is at least on par with cold full generation");
-  H.check(H.reduced() ? LoadV2 < Cold * NoiseBand : Cold / LoadV2 >= 1.3,
+  H.check(H.reduced() ? Load < Cold * NoiseBand : Cold / Load >= 1.3,
           "v2 zero-copy load beats cold full generation by >=1.3x "
           "(full runs)");
-  H.check(H.reduced() || LoadV2 < LoadV1,
-          "v2 zero-copy load beats the v1 decode path (full runs)");
   H.check(StaleLoadOk && !StaleMatched && RulesAdded == 1 &&
               RulesRemoved == 0,
           "stale snapshot is repaired via the one-rule delta, not "
@@ -334,16 +251,9 @@ int main(int argc, char **argv) {
           "repair re-expands a small fraction of the table");
   H.check(Repair < Regen * NoiseBand,
           "stale-snapshot repair is at least on par with full regeneration");
-  H.check(StaleV2Ok && RulesAddedV2 == 1 && StaleV2ParseOk,
-          "stale v2 snapshot repairs via the same one-rule delta");
-  H.check(RepairReExpansionsV2 == RepairReExpansions,
-          "v2 stale repair re-expands exactly as many states as v1");
-  if (trace::enabled()) {
-    uint64_t ReExpandSpans =
-        trace::eventCount("lr.reexpand") - ReExpandSpansBefore;
-    H.check(ReExpandSpans == RepairReExpansionsV2,
-            "trace lr.reexpand span count equals the v2 stale probe's "
+  if (trace::enabled())
+    H.check(ReExpandSpans == RepairReExpansions,
+            "trace lr.reexpand span count equals the stale repair's "
             "re-expansion counter");
-  }
   return H.finish();
 }

@@ -120,7 +120,8 @@ int main() {
     B2.rule("START", {"A"});
     Ipg Gen2(G2);
     Forest F;
-    GlrResult R = Gen2.parse({G2.symbols().lookup("a")}, F);
+    std::vector<SymbolId> Input2 = {G2.symbols().lookup("a")};
+    GlrResult R = Gen2.parse(Input2, F);
     std::printf("  countTrees saturates at cap: %llu (cap 1000)\n",
                 (unsigned long long)F.countTrees(R.Root, 1000));
     TreeArena Arena;

@@ -73,14 +73,6 @@ public:
   /// Recognition only (the forest is still built, as in §7's measurements).
   bool recognize(TokenView Input) { return Parser.recognize(Input); }
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  GlrResult parse(const std::vector<SymbolId> &Input, Forest &F) {
-    return parse(TokenView(Input), F);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) {
-    return recognize(TokenView(Input));
-  }
-
   /// Forces full generation (the conventional PG behaviour of §4);
   /// used by equivalence tests and the lazy-overhead ablation.
   size_t generateAll() { return Graph.generateAll(); }
@@ -89,31 +81,27 @@ public:
   size_t collectGarbage() { return Graph.collectGarbage(); }
 
   /// Persists the current graph of item sets — including its lazy/dirty
-  /// frontier and stats — to \p Path (core/Snapshot.h). The default
-  /// `ipg-snap-v2` is the flat, mmap-adoptable layout whose
-  /// fingerprint-matched load is zero-copy; pass SnapshotFormat::V1 for
-  /// the varint encoding pre-v2 consumers read. Returns the bytes
-  /// written. Serialization is byte-deterministic in both formats: the
-  /// same graph saves to identical bytes in every build type.
-  Expected<size_t> saveSnapshot(const std::string &Path,
-                                SnapshotFormat Format =
-                                    SnapshotFormat::V2) const;
+  /// frontier and stats — to \p Path (core/Snapshot.h) as an
+  /// `ipg-snap-v2` file: the flat, mmap-adoptable layout whose
+  /// fingerprint-matched load is zero-copy. Returns the bytes written.
+  /// Serialization is byte-deterministic: the same graph saves to
+  /// identical bytes in every build type.
+  Expected<size_t> saveSnapshot(const std::string &Path) const;
 
   /// As above, appending \p Extras as opaque tagged sections behind the
   /// GRPH payload (core/Snapshot.h: the carrier of suspended parses and
   /// future riders). Extras are covered by the payload checksum but absent
   /// from the header's section table, so pre-extra v2 readers load the
-  /// file unchanged. V1 cannot carry extras (its loader rejects trailing
-  /// bytes); requesting it with a non-empty \p Extras is an error.
-  Expected<size_t> saveSnapshot(const std::string &Path,
-                                const std::vector<SnapshotExtraSection> &Extras,
-                                SnapshotFormat Format =
-                                    SnapshotFormat::V2) const;
+  /// file unchanged.
+  Expected<size_t>
+  saveSnapshot(const std::string &Path,
+               const std::vector<SnapshotExtraSection> &Extras) const;
 
   /// Warm-starts from a snapshot: replaces the current (typically one-node)
-  /// graph with the persisted one. The format is negotiated from the file
-  /// magic — v1 decodes record by record, v2 is adopted zero-copy from a
-  /// private mapping when the layout fingerprint matches. When the
+  /// graph with the persisted one, adopted zero-copy from a private
+  /// mapping when the layout fingerprint matches. Files in the retired
+  /// `ipg-snap-v1` format, or whose graph section predates the flat-arena
+  /// layout, are rejected with an Error naming the cause. When the
   /// snapshot's grammar fingerprint does not match this generator's
   /// grammar, the snapshot's rule set is diffed against the live grammar
   /// and the delta is replayed through ADD-RULE/DELETE-RULE, so the §6

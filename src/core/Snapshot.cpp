@@ -2,17 +2,15 @@
 ///
 /// Implements Ipg::saveSnapshot / Ipg::loadSnapshot (declared in
 /// core/Ipg.h) on top of the format constants of core/Snapshot.h: the
-/// grammar sections and fingerprints come from grammar/GrammarIO.h, the
-/// graph sections from lr/GraphSnapshot.h. Both container formats are
-/// loaded out of one private file mapping (support/MappedFile.h): v1
-/// decodes the varint payload record by record, v2's fingerprint-matched
-/// fast path adopts the flat GRPH section in place — pointer fixup inside
-/// the copy-on-write mapping, borrowed record spans, header-only
-/// checksum. The load path owns the stale-snapshot repair strategy,
-/// shared by both formats: bring the live grammar to the snapshot's rule
-/// set, adopt the graph, then replay the rule delta through the
-/// graph-level ADD-RULE/DELETE-RULE so MODIFY (§6.1) invalidates exactly
-/// the states the difference touches.
+/// grammar section and fingerprints come from grammar/GrammarIO.h, the
+/// graph section from lr/GraphSnapshot.h. A snapshot loads out of one
+/// private file mapping (support/MappedFile.h); the fingerprint-matched
+/// fast path adopts the flat GRPH section in place — borrowed pool spans,
+/// header-only checksum. The load path owns the stale-snapshot repair
+/// strategy: bring the live grammar to the snapshot's rule set, decode the
+/// graph, then replay the rule delta through the graph-level
+/// ADD-RULE/DELETE-RULE so MODIFY (§6.1) invalidates exactly the states
+/// the difference touches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,13 +33,12 @@ using namespace ipg;
 namespace {
 
 /// Process-wide snapshot observables (catalog in docs/OBSERVABILITY.md):
-/// the v1-decode vs v2-adopt split the warm-start story rests on, plus
-/// the §6 stale-repair replay volume.
+/// the adopt vs decode split the warm-start story rests on, plus the §6
+/// stale-repair replay volume.
 struct SnapMetrics {
   MetricsRegistry &R = MetricsRegistry::process();
   MetricCounter &Saves = R.counter("ipg.snapshot.saves");
   MetricCounter &SaveBytes = R.counter("ipg.snapshot.save_bytes");
-  MetricCounter &LoadsV1 = R.counter("ipg.snapshot.loads_v1");
   MetricCounter &V2Adopted = R.counter("ipg.snapshot.v2_adopted");
   MetricCounter &V2Decoded = R.counter("ipg.snapshot.v2_decoded");
   /// Loads whose snapshot was stale (nonzero rule delta) and went through
@@ -49,7 +46,6 @@ struct SnapMetrics {
   MetricCounter &StaleRepairs = R.counter("ipg.snapshot.stale_repairs");
   MetricCounter &RulesReplayed = R.counter("ipg.snapshot.rules_replayed");
   LatencyHistogram &SaveLatency = R.histogram("ipg.snapshot.save");
-  LatencyHistogram &LoadV1Latency = R.histogram("ipg.snapshot.load_v1");
   LatencyHistogram &LoadV2AdoptLatency = R.histogram("ipg.snapshot.load_v2_adopt");
   LatencyHistogram &LoadV2DecodeLatency = R.histogram("ipg.snapshot.load_v2_decode");
 
@@ -187,78 +183,6 @@ std::vector<RuleId> identityRuleMap(const Grammar &G) {
   return Map;
 }
 
-/// New snapshots store hashBytesFast(payload); files written before the
-/// checksum migration stored byte-at-a-time FNV-1a. Accept either so
-/// existing snapshots (including the checked-in goldens) keep loading —
-/// a corrupted payload still fails both comparisons.
-bool payloadChecksumMatches(const uint8_t *Data, size_t Size,
-                            uint64_t Expected) {
-  return hashBytesFast(Data, Size) == Expected ||
-         hashBytes(Data, Size) == Expected;
-}
-
-/// The v1 container: varint payload behind a whole-payload checksum.
-Expected<SnapshotLoadResult> loadV1Container(Grammar &G, ItemSetGraph &Graph,
-                                             const uint8_t *Data,
-                                             size_t Size) {
-  IPG_TRACE_SPAN(Sp, "snap.load.v1");
-  ScopedLatency Lat(SnapMetrics::get().LoadV1Latency);
-  SnapMetrics::get().LoadsV1.bump();
-  ByteReader Reader(Data, Size);
-  if (!Reader.consumeBytes(SnapshotMagic))
-    return Error("not an ipg snapshot (bad magic)");
-  Expected<uint64_t> SnapFingerprint = Reader.readU64();
-  if (!SnapFingerprint)
-    return SnapFingerprint.error();
-  Expected<uint64_t> SnapLayout = Reader.readU64();
-  if (!SnapLayout)
-    return SnapLayout.error();
-  Expected<uint64_t> PayloadHash = Reader.readU64();
-  if (!PayloadHash)
-    return PayloadHash.error();
-  // Checksum the whole payload before decoding anything: a corrupted file
-  // is rejected here, before the grammar or graph is touched.
-  if (!payloadChecksumMatches(Data + Reader.position(), Reader.remaining(),
-                              *PayloadHash))
-    return Error("snapshot payload corrupted (checksum mismatch)");
-
-  Expected<ByteReader> GramBody = Reader.readSection(SnapshotGramTag);
-  if (!GramBody)
-    return GramBody.error();
-  Expected<ByteReader> GrphBody = Reader.readSection(SnapshotGrphTag);
-  if (!GrphBody)
-    return GrphBody.error();
-  if (!Reader.atEnd())
-    return Error("trailing bytes after snapshot");
-
-  // Warm-start fast path: when the live grammar's table layout is exactly
-  // what the snapshot was saved from, both id maps are the identity and
-  // the whole by-name remapping (and the GRAM decode) can be skipped.
-  if (*SnapLayout == grammarLayoutFingerprint(G)) {
-    Expected<size_t> Loaded = GraphSnapshot::load(
-        *GrphBody, Graph, identitySymbolMap(G), identityRuleMap(G));
-    if (!Loaded) {
-      GraphSnapshot::reset(Graph);
-      return Loaded.error();
-    }
-    SnapshotLoadResult Result;
-    Result.FingerprintMatched = true;
-    Result.SnapshotFingerprint = *SnapFingerprint;
-    Result.StatesLoaded = *Loaded;
-    return Result;
-  }
-
-  Expected<GrammarSnapshot> Snap = readGrammarSnapshot(*GramBody);
-  if (!Snap)
-    return Snap.error();
-  return remapAndRepair(G, Graph, *Snap, *SnapFingerprint,
-                        [&](const std::vector<SymbolId> &SymbolMap,
-                            const std::vector<RuleId> &RuleMap) {
-                          return GraphSnapshot::load(*GrphBody, Graph,
-                                                     SymbolMap, RuleMap);
-                        });
-}
-
 /// The v2 container: flat sections behind a header checksum (fast path)
 /// and a payload checksum (decode paths). Takes the mapping by shared_ptr
 /// because the zero-copy adoption hands it to the graph.
@@ -270,8 +194,7 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
   if (Size < SnapshotV2HeaderBytes)
     return Error("truncated snapshot header");
   if (Data[11] != 0)
-    return Error("unsupported snapshot version (expected ipg-snap-v1 or "
-                 "ipg-snap-v2)");
+    return Error("unsupported snapshot version (expected ipg-snap-v2)");
   FlatView File(Data, Size);
 
   // The header carries its own checksum so the fast path can trust the
@@ -299,21 +222,23 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
   if (GramOff < *HeaderBytes || GramOff > Size || GramLen > Size - GramOff ||
       GrphOff < *HeaderBytes || GrphOff > Size || GrphLen > Size - GrphOff)
     return Error("snapshot section out of bounds");
+  // The GRPH layout word (byte 28 of the section) names the cause of a
+  // pre-flat-arena file before any checksum could blame corruption.
+  Expected<uint32_t> GrphLayout =
+      FlatView(Data + GrphOff, static_cast<size_t>(GrphLen)).u32At(28);
+  if (!GrphLayout)
+    return Error("truncated graph section");
+  if (*GrphLayout != GraphSnapshot::FlatArenaLayout)
+    return Error("snapshot graph section predates the flat-arena layout and "
+                 "is no longer supported; regenerate the snapshot");
 
   // Warm-start fast path: layout match means identity ids, so the GRPH
   // section can be adopted straight out of the mapping — no GRAM decode,
   // no payload checksum (the structural validation sweep inside adoptV2
   // is the integrity check the trust model asks of a cache format).
-  // Adoption additionally needs the flat-arena GRPH layout (the Reserved
-  // word of the GRPH header, byte 28 into the section); pre-refactor
-  // sections wrote 0 there and go through the endian-safe decoder.
   if (SnapLayout == grammarLayoutFingerprint(G)) {
-    FlatView Grph(Data + GrphOff, static_cast<size_t>(GrphLen));
-    Expected<uint32_t> GrphLayout = Grph.u32At(28);
-    if (!GrphLayout)
-      return Error("truncated graph section");
     Expected<size_t> Loaded = Error("unreachable");
-    if (GraphSnapshot::hostCanAdoptV2() && *GrphLayout == 1) {
+    if (GraphSnapshot::hostCanAdoptV2()) {
       IPG_TRACE_SPAN(Sp, "snap.load.v2_adopt");
       ScopedLatency Lat(SnapMetrics::get().LoadV2AdoptLatency);
       Loaded = GraphSnapshot::adoptV2(Data + GrphOff,
@@ -322,13 +247,12 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
       if (Loaded)
         SnapMetrics::get().V2Adopted.bump();
     } else {
-      // Big-endian / exotic-ABI hosts, or a pre-refactor (legacy layout)
-      // section: same file, endian-safe decode into owned storage.
-      // Integrity then comes from the payload checksum.
+      // Big-endian / exotic-ABI hosts: same file, endian-safe decode into
+      // owned storage. Integrity then comes from the payload checksum.
       IPG_TRACE_SPAN(Sp, "snap.load.v2_decode");
       ScopedLatency Lat(SnapMetrics::get().LoadV2DecodeLatency);
-      if (!payloadChecksumMatches(Data + *HeaderBytes, Size - *HeaderBytes,
-                              PayloadChk))
+      if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) !=
+          PayloadChk)
         return Error("snapshot payload corrupted (checksum mismatch)");
       Loaded = GraphSnapshot::loadV2(
           FlatView(Data + GrphOff, static_cast<size_t>(GrphLen)), Graph,
@@ -348,12 +272,11 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
   }
 
   // Remapping slow path: decodes every record anyway, so verify the whole
-  // payload up front like v1 does.
+  // payload up front.
   IPG_TRACE_SPAN(Sp, "snap.load.v2_remap");
   ScopedLatency Lat(SnapMetrics::get().LoadV2DecodeLatency);
   SnapMetrics::get().V2Decoded.bump();
-  if (!payloadChecksumMatches(Data + *HeaderBytes, Size - *HeaderBytes,
-                              PayloadChk))
+  if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) != PayloadChk)
     return Error("snapshot payload corrupted (checksum mismatch)");
   Expected<GrammarSnapshot> Snap = readGrammarSnapshotV2(
       FlatView(Data + GramOff, static_cast<size_t>(GramLen)));
@@ -371,43 +294,17 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
 
 } // namespace
 
-Expected<size_t> Ipg::saveSnapshot(const std::string &Path,
-                                   SnapshotFormat Format) const {
-  return saveSnapshot(Path, std::vector<SnapshotExtraSection>(), Format);
+Expected<size_t> Ipg::saveSnapshot(const std::string &Path) const {
+  return saveSnapshot(Path, std::vector<SnapshotExtraSection>());
 }
 
 Expected<size_t>
 Ipg::saveSnapshot(const std::string &Path,
-                  const std::vector<SnapshotExtraSection> &Extras,
-                  SnapshotFormat Format) const {
+                  const std::vector<SnapshotExtraSection> &Extras) const {
   const Grammar &G = Graph.grammar();
-  IPG_TRACE_SPAN(Sp, Format == SnapshotFormat::V1 ? "snap.save.v1"
-                                                  : "snap.save.v2");
+  IPG_TRACE_SPAN(Sp, "snap.save.v2");
   ScopedLatency Lat(SnapMetrics::get().SaveLatency);
   SnapMetrics::get().Saves.bump();
-
-  if (Format == SnapshotFormat::V1) {
-    if (!Extras.empty())
-      return Error("extra sections require the v2 snapshot format");
-    ByteWriter Payload;
-    size_t Gram = Payload.beginSection(SnapshotGramTag);
-    writeGrammarSnapshot(G, Payload);
-    Payload.endSection(Gram);
-    size_t Grph = Payload.beginSection(SnapshotGrphTag);
-    GraphSnapshot::save(Graph, Payload);
-    Payload.endSection(Grph);
-
-    ByteWriter File;
-    File.writeBytes(SnapshotMagic, std::strlen(SnapshotMagic));
-    File.writeU64(grammarFingerprint(G));
-    File.writeU64(grammarLayoutFingerprint(G));
-    File.writeU64(hashBytesFast(Payload.buffer().data(), Payload.size()));
-    File.writeBytes(Payload.buffer().data(), Payload.size());
-    Expected<size_t> Written = File.writeFile(Path);
-    if (Written)
-      SnapMetrics::get().SaveBytes.bump(*Written);
-    return Written;
-  }
 
   // Both sections serialize straight into the file buffer — no staging
   // writers, no second copy of ~100KB of pool bytes. Their offsets and
@@ -460,9 +357,9 @@ Ipg::saveSnapshot(const std::string &Path,
 }
 
 Expected<SnapshotLoadResult> Ipg::loadSnapshot(const std::string &Path) {
-  // Both formats load out of one private mapping: v1/v2-slow decode from
-  // it, the v2 fast path patches and borrows it (MappedFile's heap
-  // fallback keeps the contract on mmap-less hosts).
+  // One private mapping: the decode paths read from it, the fast path
+  // borrows it (MappedFile's heap fallback keeps the contract on
+  // mmap-less hosts).
   Expected<MappedFile> MapOrErr = MappedFile::open(Path);
   if (!MapOrErr)
     return MapOrErr.error();
@@ -471,15 +368,15 @@ Expected<SnapshotLoadResult> Ipg::loadSnapshot(const std::string &Path) {
   const size_t Size = Mapping->size();
   Grammar &G = Graph.grammar();
 
-  const size_t MagicLen = std::strlen(SnapshotMagic);
-  if (Size >= MagicLen && std::memcmp(Data, SnapshotMagic, MagicLen) == 0)
-    return loadV1Container(G, Graph, Data, Size);
+  const size_t MagicLen = std::strlen(SnapshotMagicV2);
   if (Size >= MagicLen && std::memcmp(Data, SnapshotMagicV2, MagicLen) == 0)
     return loadV2Container(G, Graph, std::move(Mapping));
+  if (Size >= MagicLen && std::memcmp(Data, "ipg-snap-v1", MagicLen) == 0)
+    return Error("ipg-snap-v1 snapshots are no longer supported; regenerate "
+                 "the snapshot");
   if (Size >= MagicLen - 1 &&
-      std::memcmp(Data, SnapshotMagic, MagicLen - 1) == 0)
-    return Error("unsupported snapshot version (expected ipg-snap-v1 or "
-                 "ipg-snap-v2)");
+      std::memcmp(Data, SnapshotMagicV2, MagicLen - 1) == 0)
+    return Error("unsupported snapshot version (expected ipg-snap-v2)");
   return Error("not an ipg snapshot (bad magic)");
 }
 
@@ -513,8 +410,7 @@ ipg::readSnapshotExtraSection(const std::string &Path, uint32_t Tag) {
     return Error("snapshot section out of bounds");
   // A suspended parse is a one-shot artifact, not a hot cache: whole-file
   // integrity up front is cheap relative to the resume it gates.
-  if (!payloadChecksumMatches(Data + *HeaderBytes, Size - *HeaderBytes,
-                              *PayloadChk))
+  if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) != *PayloadChk)
     return Error("snapshot payload corrupted (checksum mismatch)");
 
   // Walk the 8-aligned extra frames behind GRPH. Unknown tags are skipped

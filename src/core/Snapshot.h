@@ -1,46 +1,36 @@
 //===- core/Snapshot.h - Snapshot file formats & load result ----*- C++ -*-===//
 ///
 /// \file
-/// The on-disk snapshot formats (`ipg-snap-v1`, `ipg-snap-v2`) and the
-/// result record of a warm start. A snapshot extends the paper's
-/// incremental story across process lifetimes: the partially-expanded
-/// graph of item sets is persisted, and a later process resumes from it
-/// instead of re-expanding from a one-node graph.
+/// The on-disk snapshot format (`ipg-snap-v2`) and the result record of a
+/// warm start. A snapshot extends the paper's incremental story across
+/// process lifetimes: the partially-expanded graph of item sets is
+/// persisted, and a later process resumes from it instead of re-expanding
+/// from a one-node graph.
 ///
-/// v1 layout (ByteStream varints, decoded record by record):
-///
-/// \code
-///   "ipg-snap-v1"                magic, version in the string
-///   u64  grammar fingerprint    (grammar/GrammarIO.h, by-name, active rules)
-///   u64  layout fingerprint     (order-sensitive: id-map fast-path check)
-///   u64  payload checksum       (FNV-1a over everything below)
-///   GRAM section                 symbol table + interned rules (+active flags)
-///   GRPH section                 live item sets, frontier, stats
-/// \endcode
-///
-/// v2 layout (FlatSection fixed-width little-endian pools, built for
+/// Layout (FlatSection fixed-width little-endian pools, built for
 /// zero-copy mmap adoption; all multi-byte fields at natural alignment):
 ///
 /// \code
 ///   off  0  "ipg-snap-v2\0"      12-byte magic (version in the string)
 ///   off 12  u32 header bytes     (80; where the payload begins)
-///   off 16  u64 grammar fingerprint
-///   off 24  u64 layout fingerprint
+///   off 16  u64 grammar fingerprint (grammar/GrammarIO.h, by name)
+///   off 24  u64 layout fingerprint  (order-sensitive: fast-path check)
 ///   off 32  u64 GRAM offset      u64 GRAM length
 ///   off 48  u64 GRPH offset      u64 GRPH length
-///   off 64  u64 payload checksum (FNV-1a over [header bytes, EOF))
+///   off 64  u64 payload checksum (hashBytesFast over [header bytes, EOF))
 ///   off 72  u64 header checksum  (FNV-1a over bytes [0, 72))
 ///   off 80  GRAM section         (8-aligned; grammar/GrammarIO.h)
 ///   ...     GRPH section         (8-aligned; lr/GraphSnapshot.h)
 /// \endcode
 ///
-/// The v2 load fast path (layout fingerprint matches the live grammar)
+/// The load fast path (layout fingerprint matches the live grammar)
 /// verifies the magic and the *header* checksum only, then adopts the
-/// GRPH section straight out of the copy-on-write mapping — pointer
-/// fixup in place, borrowed record spans, no per-record decode. The
-/// payload checksum is verified on the remapping slow path, which decodes
-/// every record anyway (and by loaders that want full integrity up
-/// front). Loading never discards a stale snapshot: when the fingerprint
+/// GRPH section straight out of the copy-on-write mapping — borrowed pool
+/// spans, no per-record decode. The payload checksum is verified on the
+/// remapping slow path, which decodes every record anyway (and by loaders
+/// that want full integrity up front). The retired `ipg-snap-v1` varint
+/// format and the pre-flat-arena GRPH layout are rejected with an Error;
+/// since a snapshot is only a cache, the cost is one cold generation. Loading never discards a stale snapshot: when the fingerprint
 /// does not match the live grammar, the snapshot's rule set is diffed
 /// against the live one and the delta is replayed through
 /// ADD-RULE/DELETE-RULE, so the §6 MODIFY machinery repairs exactly the
@@ -50,7 +40,7 @@
 /// format. Every read is bounds-checked and ids/indices/dots are
 /// validated, so a malformed file cannot make the *decoder* misbehave —
 /// and accidental corruption is caught up front by the checksums (for the
-/// v2 fast path: header corruption up front, payload corruption by the
+/// fast path: header corruption up front, payload corruption by the
 /// structural validation sweep, which skips only content-preserving
 /// in-range value flips). But a deliberately crafted file with a
 /// recomputed checksum can still describe a graph whose transitions
@@ -72,9 +62,6 @@ namespace ipg {
 
 /// Magic prefix of every snapshot file; the trailing digit is the format
 /// version, so an incompatible successor bumps the whole string.
-inline constexpr const char SnapshotMagic[] = "ipg-snap-v1";
-
-/// Magic of the flat, mmap-adoptable successor format.
 inline constexpr const char SnapshotMagicV2[] = "ipg-snap-v2";
 
 /// Fixed v2 header size: the byte offset where the payload begins. Also
@@ -86,22 +73,10 @@ inline constexpr uint32_t SnapshotV2HeaderBytes = 80;
 /// checksum field itself).
 inline constexpr uint32_t SnapshotV2HeaderChecksumBytes = 72;
 
-/// Which on-disk encoding Ipg::saveSnapshot writes. Loading
-/// auto-negotiates from the magic, so the knob only matters for writers
-/// that must stay readable by pre-v2 consumers.
-enum class SnapshotFormat : uint8_t {
-  V1, ///< ByteStream varints: dense, per-record decode on load.
-  V2, ///< Flat little-endian pools: mmap + validate + pointer fixup.
-};
-
-/// Section tags inside a v1 snapshot.
-inline constexpr uint32_t SnapshotGramTag = fourCC('G', 'R', 'A', 'M');
-inline constexpr uint32_t SnapshotGrphTag = fourCC('G', 'R', 'P', 'H');
-
 /// Tag of the suspended-parse section (incremental/ParseSnapshot.h).
 inline constexpr uint32_t SnapshotParsTag = fourCC('P', 'A', 'R', 'S');
 
-/// An opaque tagged section appended after GRPH in an `ipg-snap-v2` file.
+/// An opaque tagged section appended after GRPH in a snapshot file.
 /// Extra sections ride behind the standard payload — readers that do not
 /// know a tag never reach it (the header's section table does not mention
 /// extras), while the payload checksum still covers every byte. Each is

@@ -58,17 +58,6 @@ public:
   /// differentially compared. Returns 0 when the input is rejected.
   uint64_t countDerivations(TokenView Input, uint64_t Cap = ~0ull >> 1);
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  EarleyResult parse(const std::vector<SymbolId> &Input, TreeArena &Arena) {
-    return parse(TokenView(Input), Arena);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) {
-    return recognize(TokenView(Input));
-  }
-  uint64_t countDerivations(const std::vector<SymbolId> &Input,
-                            uint64_t Cap = ~0ull >> 1) {
-    return countDerivations(TokenView(Input), Cap);
-  }
 
 private:
   struct ChartItem {

@@ -42,14 +42,6 @@ public:
   /// parse tree but did not print it").
   bool recognize(TokenView Input);
 
-  // Thin forwarding overloads so pre-TokenView vector call sites keep
-  // compiling (and out-of-tree find_package(ipg) consumers).
-  GlrResult parse(const std::vector<SymbolId> &Input, Forest &F) {
-    return parse(TokenView(Input), F);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) {
-    return recognize(TokenView(Input));
-  }
 
 private:
   GssEngine Engine;

@@ -46,10 +46,6 @@ public:
   /// Runs PAR-PARSE on \p Input (terminals, no end marker).
   ParParseResult parse(TokenView Input);
 
-  // Thin forwarding overload for pre-TokenView call sites.
-  ParParseResult parse(const std::vector<SymbolId> &Input) {
-    return parse(TokenView(Input));
-  }
 
 private:
   ItemSetGraph &Graph;

@@ -66,24 +66,6 @@ uint64_t ipg::grammarLayoutFingerprint(const Grammar &G) {
   return G.memoizedFingerprint(1, computeGrammarLayoutFingerprint);
 }
 
-void ipg::writeGrammarSnapshot(const Grammar &G, ByteWriter &Writer) {
-  const SymbolTable &Symbols = G.symbols();
-  Writer.writeVarint(Symbols.size());
-  for (SymbolId Sym = 0; Sym < Symbols.size(); ++Sym) {
-    Writer.writeString(Symbols.name(Sym));
-    Writer.writeU8(Symbols.isNonterminal(Sym) ? 1 : 0);
-  }
-  Writer.writeVarint(G.numInternedRules());
-  for (RuleId Id = 0; Id < G.numInternedRules(); ++Id) {
-    const Rule &R = G.rule(Id);
-    Writer.writeVarint(R.Lhs);
-    Writer.writeU8(G.isActive(Id) ? 1 : 0);
-    Writer.writeVarint(R.Rhs.size());
-    for (SymbolId Sym : R.Rhs)
-      Writer.writeVarint(Sym);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // ipg-snap-v2 GRAM section layout (little-endian, offsets relative to the
 // 8-aligned section start):
@@ -241,69 +223,5 @@ Expected<GrammarSnapshot> ipg::readGrammarSnapshotV2(FlatView Section) {
     }
     Snapshot.Rules.push_back(std::move(SnapRule));
   }
-  return Snapshot;
-}
-
-Expected<GrammarSnapshot> ipg::readGrammarSnapshot(ByteReader &Reader) {
-  GrammarSnapshot Snapshot;
-
-  Expected<uint64_t> NumSymbols = Reader.readVarint();
-  if (!NumSymbols)
-    return NumSymbols.error();
-  // Every symbol costs at least two bytes; anything claiming more symbols
-  // than bytes is corrupt, and rejecting it here bounds the allocation.
-  if (*NumSymbols > Reader.remaining())
-    return Error("symbol count exceeds section size");
-  Snapshot.Symbols.reserve(static_cast<size_t>(*NumSymbols));
-  for (uint64_t I = 0; I < *NumSymbols; ++I) {
-    Expected<std::string_view> Name = Reader.readStringView();
-    if (!Name)
-      return Name.error();
-    Expected<uint8_t> Flags = Reader.readU8();
-    if (!Flags)
-      return Flags.error();
-    if (*Flags > 1)
-      return Error("invalid symbol flags");
-    Snapshot.Symbols.push_back({*Name, *Flags == 1});
-  }
-
-  Expected<uint64_t> NumRules = Reader.readVarint();
-  if (!NumRules)
-    return NumRules.error();
-  if (*NumRules > Reader.remaining())
-    return Error("rule count exceeds section size");
-  Snapshot.Rules.reserve(static_cast<size_t>(*NumRules));
-  for (uint64_t I = 0; I < *NumRules; ++I) {
-    GrammarSnapshot::SnapRule SnapRule;
-    Expected<uint64_t> Lhs = Reader.readVarint();
-    if (!Lhs)
-      return Lhs.error();
-    if (*Lhs >= Snapshot.Symbols.size())
-      return Error("rule LHS references an unknown symbol");
-    SnapRule.Lhs = static_cast<uint32_t>(*Lhs);
-    Expected<uint8_t> ActiveFlag = Reader.readU8();
-    if (!ActiveFlag)
-      return ActiveFlag.error();
-    if (*ActiveFlag > 1)
-      return Error("invalid rule flags");
-    SnapRule.IsActive = *ActiveFlag == 1;
-    Expected<uint64_t> RhsSize = Reader.readVarint();
-    if (!RhsSize)
-      return RhsSize.error();
-    if (*RhsSize > Reader.remaining())
-      return Error("rule RHS length exceeds section size");
-    SnapRule.Rhs.reserve(static_cast<size_t>(*RhsSize));
-    for (uint64_t J = 0; J < *RhsSize; ++J) {
-      Expected<uint64_t> Sym = Reader.readVarint();
-      if (!Sym)
-        return Sym.error();
-      if (*Sym >= Snapshot.Symbols.size())
-        return Error("rule RHS references an unknown symbol");
-      SnapRule.Rhs.push_back(static_cast<uint32_t>(*Sym));
-    }
-    Snapshot.Rules.push_back(std::move(SnapRule));
-  }
-  if (!Reader.atEnd())
-    return Error("trailing bytes after grammar snapshot");
   return Snapshot;
 }

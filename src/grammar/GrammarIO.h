@@ -20,10 +20,10 @@
 #define IPG_GRAMMAR_GRAMMARIO_H
 
 #include "grammar/Grammar.h"
-#include "support/ByteStream.h"
 #include "support/Expected.h"
 #include "support/FlatSection.h"
 
+#include <string_view>
 #include <vector>
 
 namespace ipg {
@@ -42,7 +42,7 @@ uint64_t grammarLayoutFingerprint(const Grammar &G);
 
 /// The decoded GRAM section: a grammar snapshot detached from any Grammar
 /// instance. Symbol and rule ids are snapshot-local dense indices. Names
-/// are zero-copy views into the reader's backing buffer — keep it alive.
+/// are zero-copy views into the section's backing buffer — keep it alive.
 struct GrammarSnapshot {
   struct Symbol {
     std::string_view Name;
@@ -59,26 +59,20 @@ struct GrammarSnapshot {
 };
 
 /// Serializes \p G (symbol table + all interned rules with their active
-/// flags) into \p Writer. Emits ids in interning order, so equal
-/// construction histories serialize byte-identically.
-void writeGrammarSnapshot(const Grammar &G, ByteWriter &Writer);
-
-/// Decodes a GRAM section body. Validates every symbol reference; a
-/// malformed section yields an Error, never a partial snapshot.
-Expected<GrammarSnapshot> readGrammarSnapshot(ByteReader &Reader);
-
-/// Serializes \p G as an `ipg-snap-v2` GRAM section body into \p Section
-/// (which must be empty; offsets are relative to its start, the caller
-/// places it 8-aligned in the file). Same logical content as
-/// writeGrammarSnapshot, laid out as offset-indexed fixed-width pools
-/// (symbol records, rule records, RHS ids, name bytes) so the reader
-/// never scans variable-length records to find a field.
+/// flags) as an `ipg-snap-v2` GRAM section body into \p Section (which
+/// must be empty; offsets are relative to its start, the caller places it
+/// 8-aligned in the file). Emits ids in interning order, so equal
+/// construction histories serialize byte-identically. Laid out as
+/// offset-indexed fixed-width pools (symbol records, rule records, RHS
+/// ids, name bytes) so the reader never scans variable-length records to
+/// find a field.
 void writeGrammarSnapshotV2(const Grammar &G, FlatWriter &Section);
 
 /// Decodes a v2 GRAM section body (endian-safe field reads — the GRAM
 /// section is only decoded on the remapping slow path, never adopted).
 /// Names are zero-copy views into \p Section's backing buffer — keep it
-/// alive. Same validation contract as readGrammarSnapshot.
+/// alive. Validates every symbol reference; a malformed section yields an
+/// Error, never a partial snapshot.
 Expected<GrammarSnapshot> readGrammarSnapshotV2(FlatView Section);
 
 } // namespace ipg

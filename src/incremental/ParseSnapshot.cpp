@@ -165,7 +165,7 @@ Expected<size_t> ParseSnapshot::save(const Ipg &Gen, const ParseDocument &Doc,
   std::vector<SnapshotExtraSection> Extras(1);
   Extras[0].Tag = SnapshotParsTag;
   Extras[0].Bytes = Body.buffer();
-  return Gen.saveSnapshot(Path, Extras, SnapshotFormat::V2);
+  return Gen.saveSnapshot(Path, Extras);
 }
 
 Expected<std::unique_ptr<ParseDocument>>

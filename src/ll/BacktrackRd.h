@@ -46,13 +46,6 @@ public:
   /// Counts complete parses, stopping at \p Limit.
   RdResult countParses(TokenView Input, uint64_t Limit);
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  RdResult parse(const std::vector<SymbolId> &Input, TreeArena &Arena) {
-    return parse(TokenView(Input), Arena);
-  }
-  RdResult countParses(const std::vector<SymbolId> &Input, uint64_t Limit) {
-    return countParses(TokenView(Input), Limit);
-  }
 
 private:
   RdResult run(ArrayView<SymbolId> Input, TreeArena *Arena,

@@ -68,13 +68,6 @@ public:
   Ll1Result parse(TokenView Input, TreeArena &Arena) const;
   bool recognize(TokenView Input) const;
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  Ll1Result parse(const std::vector<SymbolId> &Input, TreeArena &Arena) const {
-    return parse(TokenView(Input), Arena);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) const {
-    return recognize(TokenView(Input));
-  }
 
 private:
   const Ll1Table &Table;

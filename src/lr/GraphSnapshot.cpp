@@ -15,7 +15,7 @@ using namespace ipg;
 namespace {
 
 /// On-disk lifecycle codes == the ItemSetState values (lr/ItemSet.h pins
-/// them). Dead appears only in the flat-arena layout, as a tombstone.
+/// them). Dead appears as a tombstone.
 enum : uint8_t {
   StateInitial = 0,
   StateComplete = 1,
@@ -23,22 +23,13 @@ enum : uint8_t {
   StateDead = 3
 };
 
-/// GRPH section layout flags (GrphHeader.Reserved). Legacy sections wrote
-/// 0 here, which is what makes the flag retrofittable.
-enum : uint32_t { LayoutLegacy = 0, LayoutFlatArena = 1 };
-
-/// v1 state byte; v1 compacts Dead sets away, so it never writes one.
-uint8_t stateCode(ItemSetState State) {
-  assert(State != ItemSetState::Dead && "serializing a dead set of items");
-  return static_cast<uint8_t>(State);
-}
-
 //===----------------------------------------------------------------------===//
 // ipg-snap-v2 GRPH section layout (struct-of-arrays, little-endian,
 // 8-aligned pools; all offsets relative to the 8-aligned section start,
 // all Off/Len pairs are element indices into the named pools).
 //
-// Flat-arena layout (Reserved == 1) — the live graph's pools verbatim:
+// Flat-arena layout (Reserved == GraphSnapshot::FlatArenaLayout) — the
+// live graph's pools verbatim:
 //
 //   GrphHeader (136 bytes)
 //   ItemSet[NumSets]               52-byte records == the in-memory type
@@ -53,18 +44,8 @@ uint8_t stateCode(ItemSetState State) {
 // ("garbage") spans no live record references — save does not compact, so
 // save is a memcpy and save-after-load is byte-identical. Old spans of
 // Dirty sets live in the same target/label pools as live spans, so
-// NumOldTransitions and OffOldTransitions are 0.
-//
-// Legacy layout (Reserved == 0), decode-only for old files:
-//
-//   GrphHeader (136 bytes)
-//   SetRec[NumSets]                48-byte records, live sets only
-//   Item[NumKernelItems]
-//   TransRec[NumTransitions]       {u32 Label, u32 0, u64 TargetIdx}
-//   TransRec[NumOldTransitions]    dirty sets' retained history
-//   SymbolId[NumTransitions]       action labels, parallel to TransRec
-//   RuleId[NumReductions]
-//   RuleId[NumAcceptRules]
+// NumOldTransitions and OffOldTransitions are 0. Any other Reserved value
+// (the pre-flat-arena layout wrote 0) is rejected.
 //===----------------------------------------------------------------------===//
 
 struct GrphHeader {
@@ -86,29 +67,6 @@ struct GrphHeader {
   uint64_t OffAcceptRules;
 };
 static_assert(sizeof(GrphHeader) == 136, "v2 GRPH header layout drifted");
-
-/// Legacy (Reserved == 0) per-set record.
-struct SetRec {
-  uint8_t State;
-  uint8_t Accepting;
-  uint16_t Reserved;
-  uint32_t KernelOff, KernelLen;
-  uint32_t TransOff, TransLen;
-  uint32_t OldOff, OldLen;
-  uint32_t RedOff, RedLen;
-  uint32_t AccOff, AccLen;
-  uint32_t Reserved2;
-};
-static_assert(sizeof(SetRec) == 48, "legacy v2 set record layout drifted");
-
-/// Legacy (Reserved == 0) transition record.
-struct TransRec {
-  uint32_t Label;
-  uint32_t Reserved;
-  uint64_t Target;
-};
-static_assert(sizeof(TransRec) == 16,
-              "legacy v2 transition record layout drifted");
 
 /// The zero-copy path reinterprets mapped arrays as the in-memory pool
 /// element types; it runs only where the layouts provably coincide.
@@ -152,6 +110,19 @@ Expected<GrphHeader> readGrphHeader(const FlatView &Section) {
   return H;
 }
 
+/// Header-level checks shared by adoptV2 and loadV2.
+const char *checkGrphHeaderShape(const GrphHeader &H) {
+  if (H.Reserved != GraphSnapshot::FlatArenaLayout)
+    return "graph section is not in the flat-arena layout";
+  if (H.NumSets == 0)
+    return "snapshot graph has no start set";
+  if (H.StartIdx >= H.NumSets)
+    return "start set index out of range";
+  if (H.NumOldTransitions != 0 || H.OffOldTransitions != 0)
+    return "flat-arena layout carries old spans in the transition pool";
+  return nullptr;
+}
+
 /// Endian-safe unaligned loads for the v2 decode fallback. The compiler
 /// folds them to single loads on little-endian hosts; bounds are
 /// established once per pool before the loops run, so the hot decode path
@@ -160,38 +131,8 @@ inline uint32_t loadLe32(const uint8_t *P) {
   return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
          static_cast<uint32_t>(P[2]) << 16 | static_cast<uint32_t>(P[3]) << 24;
 }
-inline uint64_t loadLe64(const uint8_t *P) {
-  return static_cast<uint64_t>(loadLe32(P)) |
-         static_cast<uint64_t>(loadLe32(P + 4)) << 32;
-}
 
-/// Shared structural checks on a legacy v2 set record against the header
-/// totals.
-Expected<uint8_t> checkSetRecShape(const SetRec &R, const GrphHeader &H) {
-  if (R.State > StateDirty)
-    return Error("invalid item-set state code");
-  bool Complete = R.State == StateComplete;
-  if (R.Accepting > 1 || (R.Accepting == 1 && !Complete))
-    return Error("invalid accepting flag");
-  auto SpanOk = [](uint32_t Off, uint32_t Len, uint32_t Total) {
-    return static_cast<uint64_t>(Off) + Len <= Total;
-  };
-  if (!SpanOk(R.KernelOff, R.KernelLen, H.NumKernelItems) ||
-      !SpanOk(R.TransOff, R.TransLen, H.NumTransitions) ||
-      !SpanOk(R.OldOff, R.OldLen, H.NumOldTransitions) ||
-      !SpanOk(R.RedOff, R.RedLen, H.NumReductions) ||
-      !SpanOk(R.AccOff, R.AccLen, H.NumAcceptRules))
-    return Error("set record span out of range");
-  if (!Complete && (R.TransLen != 0 || R.RedLen != 0 || R.AccLen != 0))
-    return Error("records on a set whose state forbids them");
-  if (R.State != StateDirty && R.OldLen != 0)
-    return Error("old transitions on a non-dirty set");
-  if (R.AccLen != 0 && R.Accepting != 1)
-    return Error("accept rules on a non-accepting set");
-  return uint8_t{0};
-}
-
-/// Flat-arena (Reserved == 1) per-set record — the ItemSet field layout
+/// Flat-arena per-set record — the ItemSet field layout
 /// spelled out as plain integers, so validation and decode can inspect a
 /// record without ItemSet friend access. HostCanAdoptV2 plus these
 /// static_asserts pin the two layouts together.
@@ -254,267 +195,6 @@ const char *checkFlatRecShape(const FlatRec &R, uint32_t Index,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// v1 (ByteStream varint encoding)
-//===----------------------------------------------------------------------===//
-
-void GraphSnapshot::save(const ItemSetGraph &Graph, ByteWriter &Writer) {
-  // Dense indices for the live sets, in creation order: the serialized ids
-  // are a compaction of the pool, so a graph that went through garbage
-  // collection still snapshots into a gap-free, deterministic form.
-  std::vector<uint32_t> DenseIdx(Graph.numSets(), 0);
-  uint32_t NumLive = 0;
-  for (size_t I = 0, N = Graph.numSets(); I < N; ++I) {
-    const ItemSet &State = Graph.setAt(I);
-    if (!State.isDead())
-      DenseIdx[State.Id] = NumLive++;
-  }
-
-  Writer.writeVarint(NumLive);
-  Writer.writeVarint(DenseIdx[Graph.Start->Id]);
-
-  auto WriteTransitions = [&](TransitionRange Transitions) {
-    Writer.writeVarint(Transitions.size());
-    for (ItemSet::Transition T : Transitions) {
-      assert(!T.Target->isDead() && "live transition to a dead set");
-      Writer.writeVarint(T.Label);
-      Writer.writeVarint(DenseIdx[T.Target->Id]);
-    }
-  };
-  auto WriteRules = [&](ArrayView<RuleId> Rules) {
-    Writer.writeVarint(Rules.size());
-    for (RuleId Rule : Rules)
-      Writer.writeVarint(Rule);
-  };
-
-  for (size_t I = 0, N = Graph.numSets(); I < N; ++I) {
-    const ItemSet &State = Graph.setAt(I);
-    if (State.isDead())
-      continue;
-    Writer.writeU8(stateCode(State.State));
-    Writer.writeU8(State.Accepting != 0 ? 1 : 0);
-    KernelView K = Graph.kernel(&State);
-    Writer.writeVarint(K.size());
-    for (const Item &I2 : K) {
-      Writer.writeVarint(I2.Rule);
-      Writer.writeVarint(I2.Dot);
-    }
-    WriteTransitions(Graph.transitions(&State));
-    WriteRules(Graph.reductions(&State));
-    WriteRules(Graph.acceptRules(&State));
-    WriteTransitions(Graph.oldTransitions(&State));
-  }
-
-  // Reference counts are not serialized in v1: they are derivable (one per
-  // incoming transition, old or new, plus the start set's root reference)
-  // and load() re-derives them, so a snapshot cannot carry a skewed count.
-  const ItemSetGraphStats S = Graph.stats();
-  Writer.writeVarint(S.Expansions);
-  Writer.writeVarint(S.ReExpansions);
-  Writer.writeVarint(S.ClosureItems);
-  Writer.writeVarint(S.DirtyMarks);
-  Writer.writeVarint(S.Collected);
-  Writer.writeVarint(S.GotoCalls);
-}
-
-Expected<size_t> GraphSnapshot::load(ByteReader &Reader, ItemSetGraph &Graph,
-                                     const std::vector<SymbolId> &SymbolMap,
-                                     const std::vector<RuleId> &RuleMap) {
-  const Grammar &G = Graph.G;
-  clearStorage(Graph);
-
-  Expected<uint64_t> NumSets = Reader.readVarint();
-  if (!NumSets)
-    return NumSets.error();
-  if (*NumSets == 0)
-    return Error("snapshot graph has no start set");
-  // Each set costs at least 7 bytes; a count above the byte budget is
-  // corrupt, and rejecting it bounds the pool allocation.
-  if (*NumSets > Reader.remaining())
-    return Error("set count exceeds section size");
-  Expected<uint64_t> StartIdx = Reader.readVarint();
-  if (!StartIdx)
-    return StartIdx.error();
-  if (*StartIdx >= *NumSets)
-    return Error("start set index out of range");
-
-  Graph.ByKernel.reserve(static_cast<size_t>(*NumSets));
-  Graph.Sets.appendZeroed(static_cast<size_t>(*NumSets));
-  for (uint64_t I = 0; I < *NumSets; ++I)
-    Graph.setAt(static_cast<size_t>(I)).Id = static_cast<uint32_t>(I);
-
-  // Decode scratch, reused across sets. Edges are staged and sorted by
-  // (remapped) label before the paired Trans/Labels appends — the pools
-  // advance in lockstep so one offset addresses both.
-  std::vector<std::pair<SymbolId, uint32_t>> Edges;
-  std::vector<SymbolId> TmpLabels;
-  std::vector<uint32_t> TmpTargets;
-  std::vector<RuleId> TmpRules;
-  Kernel K;
-
-  auto AppendEdges = [&](uint32_t &OutOff, uint32_t &OutLen) {
-    std::sort(Edges.begin(), Edges.end());
-    TmpLabels.clear();
-    TmpTargets.clear();
-    for (const auto &[Label, Target] : Edges) {
-      TmpLabels.push_back(Label);
-      TmpTargets.push_back(Target);
-    }
-    OutOff = Graph.Trans.append(TmpTargets.data(), TmpTargets.size());
-    uint32_t LOff = Graph.Labels.append(TmpLabels.data(), TmpLabels.size());
-    assert(OutOff == LOff && "Trans/Labels pools out of lockstep");
-    (void)LOff;
-    OutLen = static_cast<uint32_t>(Edges.size());
-  };
-
-  auto ReadTransitions = [&](uint32_t &OutOff, uint32_t &OutLen,
-                             bool Allowed) -> Expected<uint8_t> {
-    Expected<uint64_t> Count = Reader.readVarint();
-    if (!Count)
-      return Count.error();
-    if (*Count != 0 && !Allowed)
-      return Error("transitions on a set whose state forbids them");
-    if (*Count > Reader.remaining())
-      return Error("transition count exceeds section size");
-    Edges.clear();
-    for (uint64_t I = 0; I < *Count; ++I) {
-      Expected<uint64_t> Label = Reader.readVarint();
-      if (!Label)
-        return Label.error();
-      if (*Label >= SymbolMap.size())
-        return Error("transition label references an unknown symbol");
-      Expected<uint64_t> Target = Reader.readVarint();
-      if (!Target)
-        return Target.error();
-      if (*Target >= *NumSets)
-        return Error("transition target out of range");
-      Edges.emplace_back(SymbolMap[static_cast<size_t>(*Label)],
-                         static_cast<uint32_t>(*Target));
-    }
-    AppendEdges(OutOff, OutLen);
-    return uint8_t{0};
-  };
-  auto ReadRules = [&](PoolArena<RuleId> &Pool, uint32_t &OutOff,
-                       uint32_t &OutLen, bool Allowed) -> Expected<uint8_t> {
-    Expected<uint64_t> Count = Reader.readVarint();
-    if (!Count)
-      return Count.error();
-    if (*Count != 0 && !Allowed)
-      return Error("reductions on a set whose state forbids them");
-    if (*Count > Reader.remaining())
-      return Error("rule count exceeds section size");
-    TmpRules.clear();
-    for (uint64_t I = 0; I < *Count; ++I) {
-      Expected<uint64_t> Rule = Reader.readVarint();
-      if (!Rule)
-        return Rule.error();
-      if (*Rule >= RuleMap.size())
-        return Error("reduction references an unknown rule");
-      TmpRules.push_back(RuleMap[static_cast<size_t>(*Rule)]);
-    }
-    OutOff = Pool.append(TmpRules.data(), TmpRules.size());
-    OutLen = static_cast<uint32_t>(TmpRules.size());
-    return uint8_t{0};
-  };
-
-  for (uint64_t I = 0; I < *NumSets; ++I) {
-    ItemSet &State = Graph.setAt(static_cast<size_t>(I));
-    Expected<uint8_t> Code = Reader.readU8();
-    if (!Code)
-      return Code.error();
-    if (*Code > StateDirty)
-      return Error("invalid item-set state code");
-    State.State = static_cast<ItemSetState>(*Code);
-    bool Complete = State.State == ItemSetState::Complete;
-
-    Expected<uint8_t> Accepting = Reader.readU8();
-    if (!Accepting)
-      return Accepting.error();
-    if (*Accepting > 1 || (*Accepting == 1 && !Complete))
-      return Error("invalid accepting flag");
-    State.Accepting = *Accepting;
-
-    Expected<uint64_t> KernelSize = Reader.readVarint();
-    if (!KernelSize)
-      return KernelSize.error();
-    if (*KernelSize > Reader.remaining())
-      return Error("kernel size exceeds section size");
-    K.clear();
-    K.reserve(static_cast<size_t>(*KernelSize));
-    for (uint64_t J = 0; J < *KernelSize; ++J) {
-      Expected<uint64_t> Rule = Reader.readVarint();
-      if (!Rule)
-        return Rule.error();
-      if (*Rule >= RuleMap.size())
-        return Error("kernel item references an unknown rule");
-      RuleId Mapped = RuleMap[static_cast<size_t>(*Rule)];
-      Expected<uint64_t> Dot = Reader.readVarint();
-      if (!Dot)
-        return Dot.error();
-      if (*Dot > G.rule(Mapped).Rhs.size())
-        return Error("kernel item dot beyond its rule");
-      K.push_back(Item{Mapped, static_cast<uint32_t>(*Dot)});
-    }
-    // Remapped rule ids may order differently; re-establish canonical form
-    // before hashing into the kernel index.
-    canonicalizeKernel(K);
-    std::vector<ItemSet *> &Bucket = Graph.ByKernel[hashKernel(K)];
-    for (const ItemSet *Other : Bucket)
-      if (kernelEquals(Graph.kernel(Other), K))
-        return Error("duplicate kernel in snapshot");
-    State.KernelOff = Graph.Kernels.append(K.data(), K.size());
-    State.KernelLen = static_cast<uint32_t>(K.size());
-    Bucket.push_back(&State);
-
-    Expected<uint8_t> Ok =
-        ReadTransitions(State.TransOff, State.TransLen, Complete);
-    if (!Ok)
-      return Ok.error();
-    Ok = ReadRules(Graph.Reds, State.RedOff, State.RedLen, Complete);
-    if (!Ok)
-      return Ok.error();
-    Ok = ReadRules(Graph.Accs, State.AccOff, State.AccLen, Complete);
-    if (!Ok)
-      return Ok.error();
-    Ok = ReadTransitions(State.OldOff, State.OldLen,
-                         State.State == ItemSetState::Dirty);
-    if (!Ok)
-      return Ok.error();
-  }
-
-  Graph.Start = &Graph.setAt(static_cast<size_t>(*StartIdx));
-
-  // Re-derive the reference counts from the incoming edges (DECR-REFCOUNT
-  // bookkeeping of §6.2): one per transition — retained pre-modification
-  // ones included — plus the start set's root pin.
-  Graph.Start->RefCount = 1;
-  for (uint64_t I = 0; I < *NumSets; ++I) {
-    const ItemSet &State = Graph.setAt(static_cast<size_t>(I));
-    for (ItemSet::Transition T : Graph.transitions(&State))
-      ++T.Target->RefCount;
-    for (ItemSet::Transition T : Graph.oldTransitions(&State))
-      ++T.Target->RefCount;
-  }
-  for (uint64_t I = 0; I < *NumSets; ++I)
-    if (Graph.setAt(static_cast<size_t>(I)).RefCount == 0)
-      return Error("orphaned set in snapshot");
-
-  ItemSetGraphStats Loaded;
-  uint64_t *Counters[] = {&Loaded.Expansions,   &Loaded.ReExpansions,
-                          &Loaded.ClosureItems, &Loaded.DirtyMarks,
-                          &Loaded.Collected,    &Loaded.GotoCalls};
-  for (uint64_t *Counter : Counters) {
-    Expected<uint64_t> Value = Reader.readVarint();
-    if (!Value)
-      return Value.error();
-    *Counter = *Value;
-  }
-  Graph.storeStats(Loaded);
-  if (!Reader.atEnd())
-    return Error("trailing bytes after graph snapshot");
-  return static_cast<size_t>(*NumSets);
-}
-
-//===----------------------------------------------------------------------===//
 // v2 (FlatSection struct-of-arrays encoding)
 //===----------------------------------------------------------------------===//
 
@@ -566,7 +246,7 @@ void GraphSnapshot::saveV2(const ItemSetGraph &Graph, FlatWriter &Section) {
   Section.writeU32(0); // Old spans share the transition pool.
   Section.writeU32(static_cast<uint32_t>(Graph.Reds.size()));
   Section.writeU32(static_cast<uint32_t>(Graph.Accs.size()));
-  Section.writeU32(LayoutFlatArena);
+  Section.writeU32(FlatArenaLayout);
   const ItemSetGraphStats Snap = Graph.stats();
   const uint64_t Stats[6] = {Snap.Expansions, Snap.ReExpansions,
                              Snap.ClosureItems, Snap.DirtyMarks,
@@ -635,19 +315,12 @@ GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
   if (!Header)
     return Header.error();
   const GrphHeader &H = *Header;
-  if (H.Reserved != LayoutFlatArena)
-    return Error("v2 section is not in the flat-arena layout");
-  if (H.NumSets == 0)
-    return Error("snapshot graph has no start set");
-  if (H.StartIdx >= H.NumSets)
-    return Error("start set index out of range");
-  if (H.NumOldTransitions != 0 || H.OffOldTransitions != 0)
-    return Error("flat-arena layout carries old spans in the transition pool");
+  if (const char *Msg = checkGrphHeaderShape(H))
+    return Error(Msg);
 
   // Every pool is written 8-aligned; reject a nudged offset table before
-  // any pointer arithmetic. (The legacy layout got this for free from its
-  // 16-byte transition records; the flat pools are only 4-strided, so the
-  // check is explicit.)
+  // any pointer arithmetic (the pools are only 4-strided, so alignment is
+  // not implied by the bounds checks).
   const uint64_t PoolOffs[6] = {H.OffSetRecs,      H.OffKernelItems,
                                 H.OffTransitions,  H.OffActionLabels,
                                 H.OffReductions,   H.OffAcceptRules};
@@ -788,15 +461,8 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
   if (!Header)
     return Header.error();
   const GrphHeader &H = *Header;
-  if (H.Reserved > LayoutFlatArena)
-    return Error("unknown v2 graph layout");
-  const bool Flat = H.Reserved == LayoutFlatArena;
-  if (H.NumSets == 0)
-    return Error("snapshot graph has no start set");
-  if (H.StartIdx >= H.NumSets)
-    return Error("start set index out of range");
-  if (Flat && (H.NumOldTransitions != 0 || H.OffOldTransitions != 0))
-    return Error("flat-arena layout carries old spans in the transition pool");
+  if (const char *Msg = checkGrphHeaderShape(H))
+    return Error(Msg);
   // The flat record arrays must fit the section before any per-set work
   // (overflow-safe: offset checked before the product is subtracted).
   // This is what lets the decode loops below read through raw pointers,
@@ -804,10 +470,9 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
   auto PoolFits = [&](uint64_t Off, uint64_t Stride, uint64_t Count) {
     return Off <= Section.size() && Stride * Count <= Section.size() - Off;
   };
-  if (!PoolFits(H.OffSetRecs, Flat ? 52 : 48, H.NumSets) ||
+  if (!PoolFits(H.OffSetRecs, sizeof(FlatRec), H.NumSets) ||
       !PoolFits(H.OffKernelItems, 8, H.NumKernelItems) ||
-      !PoolFits(H.OffTransitions, Flat ? 4 : 16, H.NumTransitions) ||
-      !PoolFits(H.OffOldTransitions, 16, H.NumOldTransitions) ||
+      !PoolFits(H.OffTransitions, 4, H.NumTransitions) ||
       !PoolFits(H.OffActionLabels, 4, H.NumTransitions) ||
       !PoolFits(H.OffReductions, 4, H.NumReductions) ||
       !PoolFits(H.OffAcceptRules, 4, H.NumAcceptRules))
@@ -821,11 +486,11 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
 
   // Field-by-field reads (endian-safe on every host): the decode cost the
   // zero-copy path avoids, paid here only for stale snapshots that need
-  // their ids remapped anyway — and for legacy-layout files. The loops
-  // read through raw LE loads; the up-front pool bounds above cover every
-  // access. Abandoned span bytes are compacted away (only referenced
-  // spans are copied), but Dead tombstones are preserved: the record
-  // index space is the transition target space.
+  // their ids remapped anyway. The loops read through raw LE loads; the
+  // up-front pool bounds above cover every access. Abandoned span bytes
+  // are compacted away (only referenced spans are copied), but Dead
+  // tombstones are preserved: the record index space is the transition
+  // target space.
   const uint8_t *Base = Section.data();
   std::vector<std::pair<SymbolId, uint32_t>> Edges;
   std::vector<SymbolId> TmpLabels;
@@ -833,7 +498,21 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
   std::vector<RuleId> TmpRules;
   Kernel K;
 
-  auto AppendEdges = [&](uint32_t &OutOff, uint32_t &OutLen) {
+  /// Live and old spans both index the parallel 4-byte target/label pools.
+  auto ReadEdgeSpan = [&](uint32_t Off, uint32_t Len, uint32_t &OutOff,
+                          uint32_t &OutLen) -> const char * {
+    Edges.clear();
+    for (uint32_t J = 0; J < Len; ++J) {
+      uint32_t Label =
+          loadLe32(Base + H.OffActionLabels + uint64_t{4} * (Off + J));
+      uint32_t Target =
+          loadLe32(Base + H.OffTransitions + uint64_t{4} * (Off + J));
+      if (Label >= SymbolMap.size())
+        return "transition label references an unknown symbol";
+      if (Target >= H.NumSets)
+        return "transition target out of range";
+      Edges.emplace_back(SymbolMap[Label], Target);
+    }
     std::sort(Edges.begin(), Edges.end());
     TmpLabels.clear();
     TmpTargets.clear();
@@ -846,32 +525,6 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
     assert(OutOff == LOff && "Trans/Labels pools out of lockstep");
     (void)LOff;
     OutLen = static_cast<uint32_t>(Edges.size());
-  };
-
-  /// Legacy pools: 16-byte records at \p PoolOff. Flat pools: parallel
-  /// 4-byte target/label arrays.
-  auto ReadEdgeSpan = [&](uint32_t Off, uint32_t Len, uint64_t LegacyPoolOff,
-                          uint32_t &OutOff,
-                          uint32_t &OutLen) -> const char * {
-    Edges.clear();
-    for (uint32_t J = 0; J < Len; ++J) {
-      uint32_t Label;
-      uint64_t Target;
-      if (Flat) {
-        Label = loadLe32(Base + H.OffActionLabels + uint64_t{4} * (Off + J));
-        Target = loadLe32(Base + H.OffTransitions + uint64_t{4} * (Off + J));
-      } else {
-        const uint8_t *Rec = Base + LegacyPoolOff + uint64_t{16} * (Off + J);
-        Label = loadLe32(Rec);
-        Target = loadLe64(Rec + 8);
-      }
-      if (Label >= SymbolMap.size())
-        return "transition label references an unknown symbol";
-      if (Target >= H.NumSets)
-        return "transition target out of range";
-      Edges.emplace_back(SymbolMap[Label], static_cast<uint32_t>(Target));
-    }
-    AppendEdges(OutOff, OutLen);
     return nullptr;
   };
   auto ReadRuleSpan = [&](PoolArena<RuleId> &Pool, uint64_t PoolOff,
@@ -891,57 +544,21 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
   };
 
   for (uint32_t I = 0; I < H.NumSets; ++I) {
-    // Decode the per-set record into the common FlatRec shape. The flat
-    // record is 52 bytes led by the id; the legacy record is 48 bytes
-    // without it.
+    const uint8_t *RecBytes = Base + H.OffSetRecs + sizeof(FlatRec) * I;
     FlatRec R;
-    std::memset(&R, 0, sizeof(R));
-    if (Flat) {
-      const uint8_t *RecBytes = Base + H.OffSetRecs + uint64_t{52} * I;
-      R.Id = loadLe32(RecBytes);
-      R.State = RecBytes[4];
-      R.Accepting = RecBytes[5];
-      R.Pad = static_cast<uint16_t>(loadLe32(RecBytes + 4) >> 16);
-      R.RefCount = loadLe32(RecBytes + 8);
-      uint32_t *Fields[] = {&R.KernelOff, &R.KernelLen, &R.TransOff,
-                            &R.TransLen,  &R.OldOff,    &R.OldLen,
-                            &R.RedOff,    &R.RedLen,    &R.AccOff,
-                            &R.AccLen};
-      for (size_t F = 0; F < 10; ++F)
-        *Fields[F] = loadLe32(RecBytes + 12 + 4 * F);
-      if (const char *Msg = checkFlatRecShape(R, I, H))
-        return Error(Msg);
-    } else {
-      const uint8_t *RecBytes = Base + H.OffSetRecs + uint64_t{48} * I;
-      SetRec L;
-      uint32_t Word0 = loadLe32(RecBytes);
-      L.State = static_cast<uint8_t>(Word0 & 0xFF);
-      L.Accepting = static_cast<uint8_t>((Word0 >> 8) & 0xFF);
-      L.Reserved = 0;
-      uint32_t *Fields[] = {&L.KernelOff, &L.KernelLen, &L.TransOff,
-                            &L.TransLen,  &L.OldOff,    &L.OldLen,
-                            &L.RedOff,    &L.RedLen,    &L.AccOff,
-                            &L.AccLen};
-      for (size_t F = 0; F < 10; ++F)
-        *Fields[F] = loadLe32(RecBytes + 4 * (F + 1));
-      L.Reserved2 = 0;
-      Expected<uint8_t> Shape = checkSetRecShape(L, H);
-      if (!Shape)
-        return Shape.error();
-      R.Id = I;
-      R.State = L.State;
-      R.Accepting = L.Accepting;
-      R.KernelOff = L.KernelOff;
-      R.KernelLen = L.KernelLen;
-      R.TransOff = L.TransOff;
-      R.TransLen = L.TransLen;
-      R.OldOff = L.OldOff;
-      R.OldLen = L.OldLen;
-      R.RedOff = L.RedOff;
-      R.RedLen = L.RedLen;
-      R.AccOff = L.AccOff;
-      R.AccLen = L.AccLen;
-    }
+    R.Id = loadLe32(RecBytes);
+    R.State = RecBytes[4];
+    R.Accepting = RecBytes[5];
+    R.Pad = static_cast<uint16_t>(loadLe32(RecBytes + 4) >> 16);
+    R.RefCount = loadLe32(RecBytes + 8);
+    uint32_t *Fields[] = {&R.KernelOff, &R.KernelLen, &R.TransOff,
+                          &R.TransLen,  &R.OldOff,    &R.OldLen,
+                          &R.RedOff,    &R.RedLen,    &R.AccOff,
+                          &R.AccLen};
+    for (size_t F = 0; F < 10; ++F)
+      *Fields[F] = loadLe32(RecBytes + 12 + 4 * F);
+    if (const char *Msg = checkFlatRecShape(R, I, H))
+      return Error(Msg);
 
     ItemSet &State = Graph.setAt(I);
     State.State = static_cast<ItemSetState>(R.State);
@@ -972,13 +589,11 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
     State.KernelLen = static_cast<uint32_t>(K.size());
     Bucket.push_back(&State);
 
-    if (const char *Msg = ReadEdgeSpan(R.TransOff, R.TransLen,
-                                       H.OffTransitions, State.TransOff,
+    if (const char *Msg = ReadEdgeSpan(R.TransOff, R.TransLen, State.TransOff,
                                        State.TransLen))
       return Error(Msg);
-    if (const char *Msg = ReadEdgeSpan(R.OldOff, R.OldLen,
-                                       H.OffOldTransitions, State.OldOff,
-                                       State.OldLen))
+    if (const char *Msg =
+            ReadEdgeSpan(R.OldOff, R.OldLen, State.OldOff, State.OldLen))
       return Error(Msg);
     if (const char *Msg = ReadRuleSpan(Graph.Reds, H.OffReductions, R.RedOff,
                                        R.RedLen, State.RedOff, State.RedLen))
@@ -991,8 +606,9 @@ Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
   Graph.Start = &Graph.setAt(H.StartIdx);
   if (Graph.Start->isDead())
     return Error("start set is dead");
-  // Re-derive reference counts (see load()); persisted flat-layout counts
-  // are not carried through a remap.
+  // Re-derive reference counts from the incoming edges (the DECR-REFCOUNT
+  // bookkeeping of §6.2): one per transition, old or new, plus the start
+  // set's root pin. Persisted counts are not carried through a remap.
   Graph.Start->RefCount = 1;
   for (uint32_t I = 0; I < H.NumSets; ++I) {
     const ItemSet &State = Graph.setAt(I);

@@ -2,35 +2,25 @@
 ///
 /// \file
 /// Binary persistence of the ItemSetGraph — the piece that lets the §5/§6
-/// incremental machinery outlive a process. Two on-disk encodings share
-/// the same logical content (kernels, sorted transitions, action labels,
-/// reductions, frontier states, stats):
-///
-///   * v1 (save/load): the ByteStream varint encoding — dense, dead sets
-///     dropped and live ids compacted, decoded record by record into the
-///     graph's pools;
-///   * v2 (saveV2/adoptV2/loadV2): the FlatSection struct-of-arrays
-///     layout. Since the flat-arena refactor the live graph's pools ARE
-///     this layout (GrphHeader.Reserved == 1, the *flat-arena* layout):
-///     saveV2 writes the header and then memcpys the pools — set records,
-///     kernel items, transition targets, labels, reductions, accept rules
-///     — verbatim, tombstoned Dead records and abandoned spans included,
-///     so no dense-index remap happens and serializing the same graph
-///     twice yields identical bytes (the determinism CI contract, now
-///     strengthened to save-after-load == original). adoptV2 is the
-///     zero-copy inverse: after a read-only validation sweep it memcpys
-///     the 52-byte set records into the graph's set pool and points the
-///     five data pools' base segments at the mapped arrays — no pointer
-///     fixup, no per-record decode, no write to the mapping at all.
-///     loadV2 is the decode fallback for stale snapshots whose
-///     symbol/rule ids must be remapped onto the live grammar; it also
-///     decodes the pre-refactor layout (Reserved == 0, 48-byte records
-///     with embedded 16-byte transition records) so old snapshot files
-///     keep loading.
+/// incremental machinery outlive a process. The `ipg-snap-v2` GRPH section
+/// is the FlatSection struct-of-arrays layout, and the live graph's pools
+/// ARE this layout (GrphHeader.Reserved == FlatArenaLayout): saveV2 writes
+/// the header and then memcpys the pools — set records, kernel items,
+/// transition targets, labels, reductions, accept rules — verbatim,
+/// tombstoned Dead records and abandoned spans included, so no dense-index
+/// remap happens and serializing the same graph twice yields identical
+/// bytes (save-after-load == original). adoptV2 is the zero-copy inverse:
+/// after a read-only validation sweep it memcpys the 52-byte set records
+/// into the graph's set pool and points the five data pools' base segments
+/// at the mapped arrays — no pointer fixup, no per-record decode, no write
+/// to the mapping at all. loadV2 is the decode fallback for stale
+/// snapshots whose symbol/rule ids must be remapped onto the live grammar.
+/// Both readers reject any other layout value.
 ///
 /// The id maps are supplied by the caller (core/Snapshot.cpp), which
 /// guarantees every snapshot rule is interned in the live grammar before
-/// load() runs — including retired rules that dirty kernels still mention.
+/// loadV2() runs — including retired rules that dirty kernels still
+/// mention.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +28,6 @@
 #define IPG_LR_GRAPHSNAPSHOT_H
 
 #include "lr/ItemSetGraph.h"
-#include "support/ByteStream.h"
 #include "support/Expected.h"
 #include "support/FlatSection.h"
 
@@ -52,19 +41,9 @@ class MappedFile;
 /// functions) so ItemSetGraph/ItemSet can befriend it wholesale.
 class GraphSnapshot {
 public:
-  /// Serializes the live part of \p Graph (sets, frontier, stats) into
-  /// \p Writer using the graph's own symbol/rule ids (`ipg-snap-v1`
-  /// GRPH section body).
-  static void save(const ItemSetGraph &Graph, ByteWriter &Writer);
-
-  /// Rebuilds \p Graph from a section body written by save(). \p SymbolMap
-  /// and \p RuleMap translate snapshot-local ids to the live grammar's
-  /// (every entry must be valid for the live grammar). Returns the number
-  /// of sets materialized. On error the graph is left partially built —
-  /// call reset() before using it again.
-  static Expected<size_t> load(ByteReader &Reader, ItemSetGraph &Graph,
-                               const std::vector<SymbolId> &SymbolMap,
-                               const std::vector<RuleId> &RuleMap);
+  /// The only GRPH layout value (GrphHeader.Reserved, the u32 at byte 28
+  /// of the section) that saveV2 writes and the readers accept.
+  static constexpr uint32_t FlatArenaLayout = 1;
 
   /// Serializes \p Graph as an `ipg-snap-v2` GRPH section body (flat-arena
   /// layout) into \p Section (which must be empty; offsets are relative to
@@ -80,20 +59,19 @@ public:
   /// pool and adopts the five data arrays as the pools' base segments.
   /// \p SectionData must live inside \p Backing, which is retained by the
   /// graph until reset/reload. The mapping is never written. Unlike
-  /// load()/loadV2(), does NOT check cross-set kernel uniqueness: that
+  /// loadV2(), does NOT check cross-set kernel uniqueness: that
   /// needs a hash set — exactly the per-set allocation this path exists
   /// to avoid — so an in-range corruption colliding two kernels is
   /// adopted rather than rejected (core/Snapshot.h trust model; the
-  /// decode paths still reject it). Validation precedes installation, so
-  /// on error the graph is untouched. Rejects pre-refactor (Reserved==0)
-  /// sections — route those to loadV2.
+  /// decode path still rejects it). Validation precedes installation, so
+  /// on error the graph is untouched.
   static Expected<size_t> adoptV2(uint8_t *SectionData, size_t SectionBytes,
                                   ItemSetGraph &Graph,
                                   std::shared_ptr<const MappedFile> Backing);
 
   /// Decode fallback for v2 sections that need id remapping (stale
-  /// snapshots) or come from the pre-refactor layout: reads the records
-  /// field by field (endian-safe on any host) into the graph's pools,
+  /// snapshots) or a host that cannot adopt: reads the records field by
+  /// field (endian-safe on any host) into the graph's pools,
   /// compacting abandoned span bytes but preserving Dead tombstones (the
   /// record index space is the transition target space). On error the
   /// graph is left partially built — call reset().

@@ -43,14 +43,6 @@ public:
   /// Recognition only — no tree construction (for benchmarks).
   bool recognize(TokenView Input) const;
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  LrParseResult parse(const std::vector<SymbolId> &Input,
-                      TreeArena &Arena) const {
-    return parse(TokenView(Input), Arena);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) const {
-    return recognize(TokenView(Input));
-  }
 
 private:
   const ParseTable &Table;

@@ -122,13 +122,6 @@ public:
     return Parser.recognize(Input);
   }
 
-  // Thin forwarding overloads for pre-TokenView call sites.
-  GlrResult parse(const std::vector<SymbolId> &Input, Forest &F) {
-    return parse(TokenView(Input), F);
-  }
-  bool recognize(const std::vector<SymbolId> &Input) {
-    return recognize(TokenView(Input));
-  }
 
 private:
   std::shared_ptr<GraphEpoch> Epoch;

@@ -53,10 +53,6 @@ Expected<size_t> ipg::writeBytesToFileAtomic(const std::string &Path,
   return Written;
 }
 
-Expected<size_t> ByteWriter::writeFile(const std::string &Path) const {
-  return writeBytesToFileAtomic(Path, Buffer.data(), Buffer.size());
-}
-
 Expected<std::vector<uint8_t>> ipg::readFileBytes(const std::string &Path) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (File == nullptr)

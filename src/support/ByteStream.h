@@ -1,9 +1,9 @@
 //===- support/ByteStream.h - Binary snapshot encoding ----------*- C++ -*-===//
 ///
 /// \file
-/// The little-endian binary layer under the snapshot subsystem: ByteWriter
-/// appends fixed-width integers, LEB128 varints, length-prefixed strings
-/// and length-prefixed tagged sections to a growable buffer; ByteReader
+/// The little-endian varint layer under the suspended-parse (PARS) snapshot
+/// section: ByteWriter appends fixed-width integers, LEB128 varints and
+/// length-prefixed strings to a growable buffer; ByteReader
 /// walks the same encoding with bounds-checked reads that return Expected
 /// instead of crashing on truncated or hostile input. Every multi-byte
 /// value is encoded explicitly byte by byte, so documents are identical
@@ -64,28 +64,8 @@ public:
     writeBytes(Str.data(), Str.size());
   }
 
-  /// Opens a length-prefixed section frame: writes \p Tag (a fourcc) and a
-  /// u32 length placeholder. Returns a token for endSection, which patches
-  /// the placeholder with the number of bytes written in between. Sections
-  /// may not overlap partially — close them in LIFO order.
-  size_t beginSection(uint32_t Tag) {
-    writeU32(Tag);
-    size_t Token = Buffer.size();
-    writeU32(0);
-    return Token;
-  }
-
-  void endSection(size_t Token) {
-    uint32_t Length = static_cast<uint32_t>(Buffer.size() - Token - 4);
-    for (int Shift = 0; Shift < 32; Shift += 8)
-      Buffer[Token + Shift / 8] = static_cast<uint8_t>(Length >> Shift);
-  }
-
   const std::vector<uint8_t> &buffer() const { return Buffer; }
   size_t size() const { return Buffer.size(); }
-
-  /// Writes the buffer to \p Path; returns the byte count written.
-  Expected<size_t> writeFile(const std::string &Path) const;
 
 private:
   std::vector<uint8_t> Buffer;
@@ -165,37 +145,6 @@ public:
     return View;
   }
 
-  /// Compares the next \p Expect.size() bytes against \p Expect and
-  /// consumes them on match; on mismatch the position is unchanged.
-  bool consumeBytes(std::string_view Expect) {
-    if (remaining() < Expect.size())
-      return false;
-    for (size_t I = 0; I < Expect.size(); ++I)
-      if (Data[Pos + I] != static_cast<uint8_t>(Expect[I]))
-        return false;
-    Pos += Expect.size();
-    return true;
-  }
-
-  /// Reads a section frame written by ByteWriter::beginSection, requiring
-  /// its tag to equal \p ExpectTag. Returns a sub-reader confined to the
-  /// section body; the parent reader advances past the whole section.
-  Expected<ByteReader> readSection(uint32_t ExpectTag) {
-    Expected<uint32_t> Tag = readU32();
-    if (!Tag)
-      return Tag.error();
-    if (*Tag != ExpectTag)
-      return Error("unexpected section tag");
-    Expected<uint32_t> Length = readU32();
-    if (!Length)
-      return Length.error();
-    if (*Length > remaining())
-      return Error("section length exceeds remaining input");
-    ByteReader Body(Data + Pos, *Length);
-    Pos += *Length;
-    return Body;
-  }
-
 private:
   const uint8_t *Data;
   size_t Size;
@@ -210,8 +159,8 @@ Expected<std::vector<uint8_t>> readFileBytes(const std::string &Path);
 /// a complete write. Readers (and live MAP_PRIVATE mappings of the old
 /// file — the zero-copy snapshot loader keeps those) always see either
 /// the complete old inode or the complete new one, never a truncated
-/// in-between. Shared by ByteWriter::writeFile and FlatWriter::writeFile.
-/// Returns the byte count written.
+/// in-between. Used by FlatWriter::writeFile. Returns the byte count
+/// written.
 Expected<size_t> writeBytesToFileAtomic(const std::string &Path,
                                         const void *Data, size_t Size);
 

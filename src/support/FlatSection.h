@@ -57,6 +57,10 @@ public:
   void writeU64(uint64_t Value) { appendLe(Value, 8); }
 
   void writeBytes(const void *Data, size_t Size) {
+    // An empty source (an empty pool or vector) may be a null pointer,
+    // which memcpy must never see, even for zero bytes.
+    if (Size == 0)
+      return;
     const auto *Bytes = static_cast<const uint8_t *>(Data);
     size_t Old = Buffer.size();
     Buffer.resize(Old + Size);

@@ -8,9 +8,9 @@
 /// which steps a suspended GSS from the first damaged token instead of
 /// re-feeding the document from the front.
 ///
-/// Implicitly constructible from std::vector<SymbolId>, so the historical
-/// `parse(const std::vector<SymbolId>&)` call sites keep compiling against
-/// the thin forwarding overloads the engines retain.
+/// Implicitly constructible from std::vector<SymbolId>, so a caller holding
+/// a token vector passes it straight to the single TokenView entry point
+/// each engine exposes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +30,8 @@ namespace ipg {
 /// position parsing should (re)start from. A one-shot parser treats the
 /// cursor as the start of its input — tokens before it are context it
 /// never reads, and reported positions (error indices, forest spans)
-/// count from the cursor. Whole-buffer parses (cursor 0, the vector
-/// overloads) are therefore bit-for-bit the pre-redesign behaviour.
+/// count from the cursor. Whole-buffer parses (cursor 0, e.g. a converted
+/// token vector) read every token.
 class TokenView {
 public:
   TokenView() = default;
@@ -39,7 +39,7 @@ public:
       : Toks(Tokens), Pos(Cursor) {
     assert(Pos <= Toks.size() && "cursor past end of token buffer");
   }
-  /// Implicit on purpose: pre-redesign vector call sites resolve here.
+  /// Implicit on purpose: token vectors convert at every parse call.
   TokenView(const std::vector<SymbolId> &V) : Toks(V) {}
   TokenView(const SymbolId *Data, size_t Size, size_t Cursor = 0)
       : Toks(Data, Size), Pos(Cursor) {

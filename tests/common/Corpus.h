@@ -28,6 +28,7 @@
 #include "support/Expected.h"
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,12 @@ struct CorpusCase {
   /// Materializes the grammar into \p G (which should be empty).
   Expected<size_t> build(Grammar &G) const;
 };
+
+/// gtest prints a case as its name, so parameterized test ids stay stable
+/// across builds instead of carrying the object's bytes.
+inline void PrintTo(const CorpusCase &Case, std::ostream *OS) {
+  *OS << Case.Name;
+}
 
 /// Parses one corpus file (BNF plus `//!` directives).
 Expected<CorpusCase> readCorpusFile(const std::string &Path);

@@ -202,51 +202,45 @@ private:
       diverge("no temp directory for snapshot round-trip: " + Ec.message());
       return;
     }
-    for (SnapshotFormat Format : {SnapshotFormat::V1, SnapshotFormat::V2}) {
-      std::string Tag = Format == SnapshotFormat::V1 ? "v1" : "v2";
-      std::string Path =
-          (Dir / ("ipg-diff-" + Case.Name + "-" + Tag + ".snap")).string();
-      Expected<size_t> Saved = Lazy.saveSnapshot(Path, Format);
-      if (!Saved) {
-        diverge("snapshot " + Tag + " save failed: " + Saved.error().str());
-        continue;
-      }
-
-      // Byte determinism: an immediate re-save must be identical.
-      std::string Path2 = Path + ".again";
-      Expected<size_t> Saved2 = Lazy.saveSnapshot(Path2, Format);
-      if (!Saved2 || slurp(Path) != slurp(Path2))
-        diverge("snapshot " + Tag + " re-save is not byte-identical");
-
-      Grammar Clone;
-      Grammar::cloneActiveRules(G, Clone);
-      Ipg Restored(Clone);
-      Expected<SnapshotLoadResult> Loaded = Restored.loadSnapshot(Path);
-      if (!Loaded) {
-        diverge("snapshot " + Tag + " load failed: " + Loaded.error().str());
-      } else {
-        if (!Loaded->FingerprintMatched)
-          diverge("snapshot " + Tag +
-                  " load of an unchanged grammar needed repair");
-        if (canonicalize(Restored.graph()) != canonicalize(Lazy.graph()))
-          diverge("snapshot " + Tag +
-                  " round-trip changed the canonical graph");
-        for (const ProbeInput &Probe : Inputs) {
-          std::vector<SymbolId> Toks;
-          if (!tokenize(Clone, Probe.Text, Toks))
-            continue;
-          ++Report.EngineChecks;
-          bool Got = Restored.recognize(Toks);
-          bool Want = Lazy.recognize(tokenizeOrDie(G, Probe.Text));
-          if (Got != Want)
-            diverge("input '" + Probe.Text + "': snapshot-" + Tag +
-                    "-restored engine says " + verdict(Got) +
-                    ", original says " + verdict(Want));
-        }
-      }
-      fs::remove(Path, Ec);
-      fs::remove(Path2, Ec);
+    std::string Path = (Dir / ("ipg-diff-" + Case.Name + ".snap")).string();
+    Expected<size_t> Saved = Lazy.saveSnapshot(Path);
+    if (!Saved) {
+      diverge("snapshot save failed: " + Saved.error().str());
+      return;
     }
+
+    // Byte determinism: an immediate re-save must be identical.
+    std::string Path2 = Path + ".again";
+    Expected<size_t> Saved2 = Lazy.saveSnapshot(Path2);
+    if (!Saved2 || slurp(Path) != slurp(Path2))
+      diverge("snapshot re-save is not byte-identical");
+
+    Grammar Clone;
+    Grammar::cloneActiveRules(G, Clone);
+    Ipg Restored(Clone);
+    Expected<SnapshotLoadResult> Loaded = Restored.loadSnapshot(Path);
+    if (!Loaded) {
+      diverge("snapshot load failed: " + Loaded.error().str());
+    } else {
+      if (!Loaded->FingerprintMatched)
+        diverge("snapshot load of an unchanged grammar needed repair");
+      if (canonicalize(Restored.graph()) != canonicalize(Lazy.graph()))
+        diverge("snapshot round-trip changed the canonical graph");
+      for (const ProbeInput &Probe : Inputs) {
+        std::vector<SymbolId> Toks;
+        if (!tokenize(Clone, Probe.Text, Toks))
+          continue;
+        ++Report.EngineChecks;
+        bool Got = Restored.recognize(Toks);
+        bool Want = Lazy.recognize(tokenizeOrDie(G, Probe.Text));
+        if (Got != Want)
+          diverge("input '" + Probe.Text +
+                  "': snapshot-restored engine says " + verdict(Got) +
+                  ", original says " + verdict(Want));
+      }
+    }
+    fs::remove(Path, Ec);
+    fs::remove(Path2, Ec);
   }
 
   static std::vector<SymbolId> tokenizeOrDie(const Grammar &G,

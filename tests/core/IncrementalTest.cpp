@@ -239,8 +239,10 @@ TEST_P(IncrementalEquivalenceTest, EditScriptMatchesFreshGeneration) {
     }
     // Parse something occasionally so the graph is partially expanded in
     // interesting intermediate states.
-    if (Edit % 3 == 0)
-      Parser.recognize({Terminals[Rng.below(Terminals.size())]});
+    if (Edit % 3 == 0) {
+      std::vector<SymbolId> Input = {Terminals[Rng.below(Terminals.size())]};
+      Parser.recognize(Input);
+    }
   }
 
   Grammar GFresh;

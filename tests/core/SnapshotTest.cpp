@@ -1,14 +1,12 @@
 //===- tests/core/SnapshotTest.cpp - Snapshot persistence (cross-process §5/§6) -===//
 ///
-/// The snapshot subsystem end to end over the `ipg-snap-v1` encoding
-/// (saves pass SnapshotFormat::V1 explicitly — v1's byte-level contract
-/// includes a whole-payload checksum, which the corruption sweeps here
-/// pin; the v2 contract lives in SnapshotV2Test.cpp): byte-deterministic
-/// round trips that preserve the graph (frontier states, stats, parse
-/// behaviour), the fingerprint-keyed warm start, §6-powered repair of
-/// stale snapshots, and rejection of truncated / corrupted /
+/// The snapshot subsystem end to end, through the public Ipg API:
+/// byte-deterministic round trips that preserve the graph (frontier
+/// states, stats, parse behaviour), the fingerprint-keyed warm start,
+/// §6-powered repair of stale snapshots, and rejection of truncated /
 /// wrong-version files. Property sweeps run the same claims over the
-/// seeded random grammars.
+/// seeded random grammars. The format's zero-copy, layout and corruption
+/// contracts live in SnapshotV2Test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +14,6 @@
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 #include "grammar/GrammarIO.h"
-#include "support/Hashing.h"
 
 #include <gtest/gtest.h>
 
@@ -51,9 +48,8 @@ std::vector<uint8_t> fileBytes(const std::string &Path) {
 
 void writeBytesToFile(const std::string &Path,
                       const std::vector<uint8_t> &Bytes) {
-  ByteWriter W;
-  W.writeBytes(Bytes.data(), Bytes.size());
-  Expected<size_t> Written = W.writeFile(Path);
+  Expected<size_t> Written =
+      writeBytesToFileAtomic(Path, Bytes.data(), Bytes.size());
   ASSERT_TRUE(Written) << Written.error().str();
 }
 
@@ -68,7 +64,7 @@ TEST(Snapshot, PartialGraphRoundTripPreservesFrontierAndStats) {
   ASSERT_TRUE(Gen.recognize(sentence(G, "true and true")));
   ASSERT_GT(Gen.graph().countByState(ItemSetState::Initial), 0u);
   ItemSetGraphStats Before = Gen.stats();
-  Expected<size_t> Saved = Gen.saveSnapshot(File.path(), SnapshotFormat::V1);
+  Expected<size_t> Saved = Gen.saveSnapshot(File.path());
   ASSERT_TRUE(Saved) << Saved.error().str();
   EXPECT_GT(*Saved, 0u);
 
@@ -109,7 +105,7 @@ TEST(Snapshot, ActionsMatchAfterRoundTrip) {
   buildArith(G);
   Ipg Gen(G);
   Gen.generateAll();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
   Grammar G2;
   buildArith(G2);
@@ -135,8 +131,8 @@ TEST(Snapshot, SerializationIsByteDeterministic) {
   buildBooleans(G);
   Ipg Gen(G);
   Gen.recognize(sentence(G, "true or false"));
-  ASSERT_TRUE(Gen.saveSnapshot(A.path(), SnapshotFormat::V1));
-  ASSERT_TRUE(Gen.saveSnapshot(B.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(A.path()));
+  ASSERT_TRUE(Gen.saveSnapshot(B.path()));
   EXPECT_EQ(fileBytes(A.path()), fileBytes(B.path()))
       << "same graph must serialize to identical bytes";
 
@@ -145,7 +141,7 @@ TEST(Snapshot, SerializationIsByteDeterministic) {
   buildBooleans(G2);
   Ipg Loaded(G2);
   ASSERT_TRUE(Loaded.loadSnapshot(A.path()));
-  ASSERT_TRUE(Loaded.saveSnapshot(C.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Loaded.saveSnapshot(C.path()));
   EXPECT_EQ(fileBytes(A.path()), fileBytes(C.path()));
 }
 
@@ -159,7 +155,7 @@ TEST(Snapshot, DirtyFrontierSurvivesRoundTrip) {
   ASSERT_TRUE(Gen.addRule("B", {"not", "B"}));
   size_t DirtyBefore = Gen.graph().countByState(ItemSetState::Dirty);
   ASSERT_GT(DirtyBefore, 0u);
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
   Grammar G2;
   buildBooleans(G2);
@@ -185,7 +181,7 @@ TEST(Snapshot, RetiredRuleInLiveKernelsRoundTrips) {
   // it stay live until their dirty parents re-expand. Snapshot this
   // in-between state — the GRAM section must carry inactive rules too.
   ASSERT_TRUE(Gen.deleteRule("B", {"true"}));
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
   Grammar G2;
   buildBooleans(G2);
@@ -206,7 +202,7 @@ TEST(Snapshot, StaleSnapshotIsRepairedWhenLiveGrammarGainedARule) {
     buildBooleans(G);
     Ipg Gen(G);
     Gen.generateAll();
-    ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+    ASSERT_TRUE(Gen.saveSnapshot(File.path()));
   }
   // The live grammar moved on: it has one extra alternative.
   Grammar G;
@@ -236,7 +232,7 @@ TEST(Snapshot, StaleSnapshotIsRepairedWhenLiveGrammarLostARule) {
     buildBooleans(G);
     Ipg Gen(G);
     Gen.generateAll();
-    ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+    ASSERT_TRUE(Gen.saveSnapshot(File.path()));
   }
   Grammar G;
   buildBooleans(G);
@@ -265,7 +261,7 @@ TEST(Snapshot, StartRuleDeltaIsRepaired) {
     buildBooleans(G);
     Ipg Gen(G);
     Gen.generateAll();
-    ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+    ASSERT_TRUE(Gen.saveSnapshot(File.path()));
   }
   // The live grammar adds a second START alternative — the delta touches
   // the start kernel itself.
@@ -298,7 +294,7 @@ TEST(Snapshot, DifferentInterningOrderStillFingerprintMatches) {
     buildBooleans(G);
     Ipg Gen(G);
     Gen.generateAll();
-    ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+    ASSERT_TRUE(Gen.saveSnapshot(File.path()));
   }
   // Same rules, interned in a different order: the layout fast path cannot
   // apply, but the content fingerprint (by name) must still match and the
@@ -382,7 +378,7 @@ TEST(Snapshot, RejectsEveryTruncation) {
   buildBooleans(G);
   Ipg Gen(G);
   Gen.generateAll();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
   std::vector<uint8_t> Full = fileBytes(File.path());
   ASSERT_GT(Full.size(), 0u);
 
@@ -400,78 +396,11 @@ TEST(Snapshot, RejectsEveryTruncation) {
   }
 }
 
-TEST(Snapshot, RejectsEverySingleByteCorruption) {
-  SnapshotFile File("snap_corrupt.bin");
-  Grammar G;
-  buildBooleans(G);
-  Ipg Gen(G);
-  Gen.recognize(sentence(G, "true and true"));
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
-  std::vector<uint8_t> Full = fileBytes(File.path());
-
-  // Flipping any payload byte must trip the checksum; flipping header
-  // bytes must trip magic/fingerprint/checksum handling. Either way the
-  // load fails or — for the fingerprint fields — legitimately degrades to
-  // a repair; it must never crash or corrupt the generator.
-  SnapshotFile Bad("snap_corrupt_bad.bin");
-  const size_t HeaderEnd = 11 + 8 + 8 + 8;
-  for (size_t I = 0; I < Full.size(); ++I) {
-    std::vector<uint8_t> Copy = Full;
-    Copy[I] ^= 0x40;
-    writeBytesToFile(Bad.path(), Copy);
-    Grammar G2;
-    buildBooleans(G2);
-    Ipg Loaded(G2);
-    Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(Bad.path());
-    if (I >= HeaderEnd) {
-      EXPECT_FALSE(R) << "payload byte " << I
-                      << " corrupted but load succeeded";
-    }
-    EXPECT_TRUE(Loaded.recognize(sentence(G2, "true")))
-        << "generator unusable after corrupted load (byte " << I << ")";
-  }
-}
-
-TEST(Snapshot, RejectsChecksummedButSemanticallyInvalidPayload) {
-  // Hand-craft a file with a valid checksum whose graph section references
-  // an out-of-range set: the semantic validation must catch it and the
-  // failed load must leave grammar and generator intact.
-  SnapshotFile File("snap_semantic.bin");
-  Grammar G;
-  buildBooleans(G);
-
-  ByteWriter Payload;
-  size_t Gram = Payload.beginSection(SnapshotGramTag);
-  writeGrammarSnapshot(G, Payload);
-  Payload.endSection(Gram);
-  size_t Grph = Payload.beginSection(SnapshotGrphTag);
-  Payload.writeVarint(1);  // One set...
-  Payload.writeVarint(5);  // ...but the start index is out of range.
-  Payload.endSection(Grph);
-
-  ByteWriter FileBytes;
-  FileBytes.writeBytes("ipg-snap-v1", 11);
-  FileBytes.writeU64(grammarFingerprint(G));
-  FileBytes.writeU64(0); // Layout mismatch: forces the slow path.
-  FileBytes.writeU64(hashBytes(Payload.buffer().data(), Payload.size()));
-  FileBytes.writeBytes(Payload.buffer().data(), Payload.size());
-  ASSERT_TRUE(FileBytes.writeFile(File.path()));
-
-  Ipg Gen(G);
-  uint64_t VersionBefore = G.version();
-  size_t RulesBefore = G.size();
-  Expected<SnapshotLoadResult> R = Gen.loadSnapshot(File.path());
-  ASSERT_FALSE(R);
-  EXPECT_EQ(G.size(), RulesBefore) << "active rule set must be restored";
-  EXPECT_GE(G.version(), VersionBefore);
-  EXPECT_TRUE(Gen.recognize(sentence(G, "true or true")));
-}
-
 TEST(Snapshot, SaveToUnwritablePathFails) {
   Grammar G;
   buildBooleans(G);
   Ipg Gen(G);
-  Expected<size_t> R = Gen.saveSnapshot(::testing::TempDir(), SnapshotFormat::V1);
+  Expected<size_t> R = Gen.saveSnapshot(::testing::TempDir());
   EXPECT_FALSE(R);
 }
 
@@ -488,7 +417,7 @@ TEST_P(SnapshotRoundTripTest, RoundTripIsParseEquivalentAndDeterministic) {
   for (const std::vector<SymbolId> &S : Case.Positive)
     EXPECT_TRUE(Gen.recognize(S));
   ItemSetGraphStats Before = Gen.stats();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
   Grammar G2;
   Grammar::cloneActiveRules(G, G2);
@@ -504,7 +433,7 @@ TEST_P(SnapshotRoundTripTest, RoundTripIsParseEquivalentAndDeterministic) {
   // expands it further) reproduces the file exactly.
   SnapshotFile Again("snap_sweep_again_" + std::to_string(GetParam()) +
                      ".bin");
-  ASSERT_TRUE(Loaded.saveSnapshot(Again.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Loaded.saveSnapshot(Again.path()));
   EXPECT_EQ(fileBytes(File.path()), fileBytes(Again.path()));
 
   // recognize() equivalence on derivable sentences and random mutations.
@@ -526,7 +455,7 @@ TEST_P(SnapshotRoundTripTest, StaleRepairMatchesFromScratchGeneration) {
   RandomGrammarCase Case = buildRandomGrammar(G, GetParam());
   Ipg Gen(G);
   Gen.generateAll();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path(), SnapshotFormat::V1));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
   // The live grammar differs by one extra alternative for an existing
   // nonterminal (plus a fresh terminal, exercising the symbol remap).

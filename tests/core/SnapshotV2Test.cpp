@@ -1,17 +1,18 @@
 //===- tests/core/SnapshotV2Test.cpp - ipg-snap-v2 zero-copy load ---------===//
 ///
 /// \file
-/// The `ipg-snap-v2` contract (SnapshotTest.cpp owns v1): flat-layout
-/// round trips are parse-equivalent, byte-deterministic, and
-/// interoperable with v1; the fingerprint-matched load adopts the mapped
+/// The `ipg-snap-v2` contract (SnapshotTest.cpp covers the public API end
+/// to end): flat-layout round trips are parse-equivalent and
+/// byte-deterministic; the fingerprint-matched load adopts the mapped
 /// GRPH section zero-copy (the data pools' base segments point into the
 /// mapping, pinned here by a numAdoptedSets() probe and by an allocation
 /// count that does not grow with the graph); adopted graphs stay fully
-/// §6-capable through the
-/// copy-on-MODIFY materialization; malformed files — truncated, header-
-/// corrupted, misaligned, semantically invalid — are rejected with the
-/// generator left usable; and the checked-in golden v1 file keeps
-/// loading (forward compatibility across format generations).
+/// §6-capable through the copy-on-MODIFY materialization; malformed files
+/// — truncated, header-corrupted, misaligned, semantically invalid — are
+/// rejected with the generator left usable; the checked-in golden v2 file
+/// keeps loading and re-saves byte-identically; and retired encodings
+/// (the checked-in v1 file, a pre-flat-arena v2 file) are rejected with
+/// an error naming the cause.
 ///
 /// This suite must stay in its own test executable: like
 /// HotPathAllocTest.cpp it replaces the global operator new with a
@@ -155,9 +156,8 @@ std::vector<uint8_t> fileBytes(const std::string &Path) {
 
 void writeBytesToFile(const std::string &Path,
                       const std::vector<uint8_t> &Bytes) {
-  ByteWriter W;
-  W.writeBytes(Bytes.data(), Bytes.size());
-  Expected<size_t> Written = W.writeFile(Path);
+  Expected<size_t> Written =
+      writeBytesToFileAtomic(Path, Bytes.data(), Bytes.size());
   ASSERT_TRUE(Written) << Written.error().str();
 }
 
@@ -203,8 +203,8 @@ void resealV2(std::vector<uint8_t> &File) {
       File[Off + static_cast<size_t>(I)] =
           static_cast<uint8_t>(Value >> (8 * I));
   };
-  PatchU64(64, hashBytes(File.data() + SnapshotV2HeaderBytes,
-                         File.size() - SnapshotV2HeaderBytes));
+  PatchU64(64, hashBytesFast(File.data() + SnapshotV2HeaderBytes,
+                             File.size() - SnapshotV2HeaderBytes));
   PatchU64(72, hashBytes(File.data(), SnapshotV2HeaderChecksumBytes));
 }
 
@@ -216,19 +216,6 @@ TEST(SnapshotV2, CountingOperatorNewIsLive) {
     delete V;
   });
   EXPECT_GE(Allocs, 2ull) << "the counting operator new must be installed";
-}
-
-TEST(SnapshotV2, DefaultFormatIsV2) {
-  SnapshotFile File("snapv2_default.bin");
-  Grammar G;
-  buildBooleans(G);
-  Ipg Gen(G);
-  Gen.generateAll();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
-  std::vector<uint8_t> Bytes = fileBytes(File.path());
-  ASSERT_GE(Bytes.size(), SnapshotV2HeaderBytes);
-  EXPECT_EQ(std::string(Bytes.begin(), Bytes.begin() + 11), "ipg-snap-v2");
-  EXPECT_EQ(Bytes[11], 0u);
 }
 
 TEST(SnapshotV2, MatchedLoadAdoptsBorrowedStorage) {
@@ -496,8 +483,7 @@ TEST(SnapshotV2, ResavingOverTheBorrowedFileIsSafe) {
 }
 
 TEST(SnapshotV2, StaleSnapshotRepairsThroughTheDecodePath) {
-  // Layout mismatch forces the endian-safe decode plus §6 delta replay —
-  // the same repair contract v1 has, off the flat encoding.
+  // Layout mismatch forces the endian-safe decode plus §6 delta replay.
   SnapshotFile File("snapv2_stale.bin");
   Grammar G;
   buildArith(G);
@@ -530,31 +516,31 @@ TEST(SnapshotV2, StaleSnapshotRepairsThroughTheDecodePath) {
   EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
 }
 
-TEST(SnapshotV2, InteroperatesWithV1) {
-  // Same graph through both encodings: v1 -> load -> v2 -> load must
-  // preserve parse behaviour and structure.
-  SnapshotFile V1("snapv2_interop_v1.bin");
-  SnapshotFile V2("snapv2_interop_v2.bin");
+TEST(SnapshotV2, EpsilonRulesAndEmptyPoolsRoundTrip) {
+  // A one-node graph over a grammar with ε-rules: the save writes empty
+  // right-hand sides and empty transition/reduction/accept pools, each an
+  // empty span whose data pointer may be null.
+  SnapshotFile File("snapv2_epsilon.bin");
   Grammar G;
-  buildBooleans(G);
+  buildEpsilonChains(G);
   Ipg Gen(G);
-  ASSERT_TRUE(Gen.recognize(sentence(G, "true and false or true")));
-  ASSERT_TRUE(Gen.saveSnapshot(V1.path(), SnapshotFormat::V1));
-  ASSERT_TRUE(Gen.saveSnapshot(V2.path(), SnapshotFormat::V2));
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
 
-  Grammar GA, GB;
-  Grammar::cloneActiveRules(G, GA);
-  Grammar::cloneActiveRules(G, GB);
-  Ipg FromV1(GA), FromV2(GB);
-  ASSERT_TRUE(FromV1.loadSnapshot(V1.path()));
-  ASSERT_TRUE(FromV2.loadSnapshot(V2.path()));
-  EXPECT_EQ(FromV1.stats().Expansions, FromV2.stats().Expansions);
-  EXPECT_EQ(canonicalize(FromV1.graph()), canonicalize(FromV2.graph()));
+  Grammar G2;
+  buildEpsilonChains(G2);
+  Ipg Loaded(G2);
+  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_TRUE(R->FingerprintMatched);
+  EXPECT_EQ(R->StatesLoaded, 1u);
+  EXPECT_TRUE(Loaded.recognize(sentence(G2, "x")));
+  EXPECT_TRUE(Loaded.recognize(sentence(G2, "a c x")));
+  EXPECT_FALSE(Loaded.recognize(sentence(G2, "c a x")));
 
-  // And the v2 file reloaded through a v1 re-save still matches.
-  SnapshotFile Again("snapv2_interop_again.bin");
-  ASSERT_TRUE(FromV2.saveSnapshot(Again.path(), SnapshotFormat::V1));
-  EXPECT_EQ(fileBytes(V1.path()), fileBytes(Again.path()));
+  Gen.recognize(sentence(G, "x"));
+  Gen.recognize(sentence(G, "a c x"));
+  Gen.recognize(sentence(G, "c a x"));
+  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Gen.graph()));
 }
 
 TEST(SnapshotV2, RejectsEveryTruncation) {
@@ -681,69 +667,61 @@ TEST(SnapshotV2, RejectsResealedSemanticCorruption) {
 }
 
 //===----------------------------------------------------------------------===//
-// Golden v1 forward compatibility
+// Golden files
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The grammar the checked-in golden snapshot was saved from. Must never
-/// drift: the golden file pins that historic v1 bytes keep loading.
+/// The grammar the checked-in golden snapshots were saved from. Must never
+/// drift: the golden files pin what today's loader does with those bytes.
 void buildGoldenGrammar(Grammar &G) { buildArith(G); }
 
-std::string goldenV1Path() {
-  return std::string(IPG_TEST_DATA_DIR) + "/golden-v1.snapshot";
+std::string testDataPath(const char *Name) {
+  return std::string(IPG_TEST_DATA_DIR) + "/" + Name;
 }
 
-} // namespace
+std::string goldenV2Path() { return testDataPath("golden-v2.snapshot"); }
 
-TEST(SnapshotV2, GoldenV1SnapshotStillLoads) {
+/// Loads a retired-format file into a fresh generator over the golden
+/// grammar: the load must fail with an error containing \p Cause, and the
+/// generator must then build and parse as if the file had never existed.
+void expectRejectedWithCause(const std::string &Path, const char *Cause) {
   Grammar G;
   buildGoldenGrammar(G);
   Ipg Gen(G);
-  Expected<SnapshotLoadResult> R = Gen.loadSnapshot(goldenV1Path());
-  ASSERT_TRUE(R) << "golden v1 snapshot failed to load: " << R.error().str()
-                 << " — if the v1 format changed on purpose, that breaks "
-                    "released snapshots; if the golden grammar drifted, "
-                    "restore buildGoldenGrammar";
-  EXPECT_TRUE(R->FingerprintMatched);
+  Expected<SnapshotLoadResult> R = Gen.loadSnapshot(Path);
+  ASSERT_FALSE(R) << Path << " must no longer load";
+  EXPECT_NE(R.error().Message.find(Cause), std::string::npos)
+      << "error does not name the cause: " << R.error().str();
   EXPECT_TRUE(Gen.recognize(sentence(G, "id + id * ( id + id )")));
+  EXPECT_FALSE(Gen.recognize(sentence(G, "id + + id")));
 
   Grammar GRef;
   buildGoldenGrammar(GRef);
-  ItemSetGraph Ref(GRef);
-  EXPECT_EQ(canonicalize(Gen.graph()), canonicalize(Ref));
-}
-
-// Regeneration helper, disabled by default. Run ipg_snapshot_v2_test with
-// --gtest_also_run_disabled_tests --gtest_filter='*RegenerateGoldenV1*'
-// only when the golden must legitimately change (it writes into the
-// source tree).
-TEST(SnapshotV2, DISABLED_RegenerateGoldenV1) {
-  Grammar G;
-  buildGoldenGrammar(G);
-  Ipg Gen(G);
-  Gen.generateAll();
-  Expected<size_t> Written =
-      Gen.saveSnapshot(goldenV1Path(), SnapshotFormat::V1);
-  ASSERT_TRUE(Written) << Written.error().str();
-  std::printf("wrote %zu bytes to %s\n", *Written, goldenV1Path().c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Golden v2 forward compatibility
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string goldenV2Path() {
-  return std::string(IPG_TEST_DATA_DIR) + "/golden-v2.snapshot";
+  Ipg Ref(GRef);
+  Ref.recognize(sentence(GRef, "id + id * ( id + id )"));
+  Ref.recognize(sentence(GRef, "id + + id"));
+  EXPECT_EQ(canonicalize(Gen.graph()), canonicalize(Ref.graph()));
 }
 
 } // namespace
 
-// Same contract as the golden v1 check, for the zero-copy format: the
-// checked-in v2 bytes must keep fingerprint-matching (mmap-adoptable)
-// and loading into a parse-equivalent graph on every future revision.
+// A real file in the retired varint encoding.
+TEST(SnapshotV2, GoldenV1SnapshotIsRejected) {
+  expectRejectedWithCause(testDataPath("golden-v1.snapshot"), "ipg-snap-v1");
+}
+
+// A real v2 file whose GRPH section predates the flat-arena layout (its
+// layout word is 0, and its payload checksum is byte-wise FNV-1a).
+TEST(SnapshotV2, PreFlatArenaV2SnapshotIsRejected) {
+  expectRejectedWithCause(testDataPath("legacy-layout-v2.snapshot"),
+                          "flat-arena");
+}
+
+// The checked-in v2 bytes must keep fingerprint-matching (mmap-adoptable)
+// and loading into a parse-equivalent graph on every future revision, and
+// since the flat-arena layout is the pools verbatim, re-saving the adopted
+// graph must reproduce the file byte for byte.
 TEST(SnapshotV2, GoldenV2SnapshotStillLoads) {
   Grammar G;
   buildGoldenGrammar(G);
@@ -754,22 +732,32 @@ TEST(SnapshotV2, GoldenV2SnapshotStillLoads) {
                     "released snapshots; if the golden grammar drifted, "
                     "restore buildGoldenGrammar";
   EXPECT_TRUE(R->FingerprintMatched);
-  EXPECT_TRUE(Gen.recognize(sentence(G, "id + id * ( id + id )")));
+  if (GraphSnapshot::hostCanAdoptV2()) {
+    EXPECT_GT(countBorrowed(Gen.graph()), 0u) << "golden must be adopted";
+  }
 
+  SnapshotFile Resaved("snapv2_golden_resaved.bin");
+  ASSERT_TRUE(Gen.saveSnapshot(Resaved.path()));
+  EXPECT_EQ(fileBytes(Resaved.path()), fileBytes(goldenV2Path()))
+      << "save-after-load of the golden must be byte-identical";
+
+  EXPECT_TRUE(Gen.recognize(sentence(G, "id + id * ( id + id )")));
   Grammar GRef;
   buildGoldenGrammar(GRef);
   ItemSetGraph Ref(GRef);
   EXPECT_EQ(canonicalize(Gen.graph()), canonicalize(Ref));
 }
 
-// Regeneration helper, disabled by default; see DISABLED_RegenerateGoldenV1.
+// Regeneration helper, disabled by default. Run ipg_snapshot_v2_test with
+// --gtest_also_run_disabled_tests --gtest_filter='*RegenerateGoldenV2*'
+// only when the golden must legitimately change (it writes into the
+// source tree).
 TEST(SnapshotV2, DISABLED_RegenerateGoldenV2) {
   Grammar G;
   buildGoldenGrammar(G);
   Ipg Gen(G);
   Gen.generateAll();
-  Expected<size_t> Written =
-      Gen.saveSnapshot(goldenV2Path(), SnapshotFormat::V2);
+  Expected<size_t> Written = Gen.saveSnapshot(goldenV2Path());
   ASSERT_TRUE(Written) << Written.error().str();
   std::printf("wrote %zu bytes to %s\n", *Written, goldenV2Path().c_str());
 }

@@ -325,6 +325,9 @@ struct SweepCase {
   bool Canon; ///< Deterministic grammars also compare canonical forests.
 };
 
+/// Printed as its name, so test ids are stable across builds.
+void PrintTo(const SweepCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
 class ParseDocumentSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(ParseDocumentSweep, FuzzedEditScriptsMatchScratch) {

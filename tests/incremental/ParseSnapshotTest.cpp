@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -309,11 +310,17 @@ TEST(ParseSnapshotTest, MissingRiderAndV1AreErrors) {
   Ipg Gen2(G2);
   EXPECT_FALSE(ParseSnapshot::resume(Gen2, Snap.str()));
 
-  // And the v1 container cannot carry extras at all.
-  std::vector<SnapshotExtraSection> Extras(1);
-  Extras[0].Tag = SnapshotParsTag;
-  Extras[0].Bytes = {1, 2, 3};
-  EXPECT_FALSE(Gen.saveSnapshot(Snap.str(), Extras, SnapshotFormat::V1));
+  // And a file in the retired ipg-snap-v1 container is rejected by name,
+  // leaving the generator usable.
+  std::vector<uint8_t> V1(11 + 3 * 8, 0);
+  std::memcpy(V1.data(), "ipg-snap-v1", 11);
+  ASSERT_TRUE(writeBytesToFileAtomic(Snap.str(), V1.data(), V1.size()));
+  Expected<std::unique_ptr<ParseDocument>> Resumed =
+      ParseSnapshot::resume(Gen2, Snap.str());
+  ASSERT_FALSE(Resumed);
+  EXPECT_NE(Resumed.error().Message.find("ipg-snap-v1"), std::string::npos)
+      << Resumed.error().str();
+  EXPECT_TRUE(Gen2.recognize(sentence(G2, "true")));
 }
 
 } // namespace

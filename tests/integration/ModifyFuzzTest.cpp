@@ -8,7 +8,7 @@
 ///  * against the plain lazy graph, where each parse verdict is checked
 ///    against Earley (grammar-driven, no generated state — the ground
 ///    truth that cannot have a MODIFY-repair bug), snapshot ops
-///    round-trip the graph through v1/v2 files and continue the script
+///    round-trip the graph through snapshot files and continue the script
 ///    on the *restored* engine (driving MODIFY-after-adopt COW), and
 ///    periodic checkpoints demand index/linear-scan equivalence plus
 ///    isomorphism with a from-scratch generation;
@@ -203,7 +203,6 @@ void replayPlain(const Script &S, unsigned CheckEvery) {
   Grammar Base;
   buildBaseGrammar(Base, S.Seed);
   PlainEngine E(Base);
-  unsigned SnapCount = 0;
 
   for (size_t I = 0; I < S.Ops.size(); ++I) {
     const Op &O = S.Ops[I];
@@ -226,12 +225,10 @@ void replayPlain(const Script &S, unsigned CheckEvery) {
       break;
     }
     case Op::Snapshot: {
-      SnapshotFormat Format =
-          (SnapCount++ % 2 == 0) ? SnapshotFormat::V2 : SnapshotFormat::V1;
       std::string Path = ::testing::TempDir() + "modify_fuzz_" +
                          std::to_string(S.Seed) + ".snap";
       std::remove(Path.c_str());
-      Expected<size_t> Saved = E.Gen->saveSnapshot(Path, Format);
+      Expected<size_t> Saved = E.Gen->saveSnapshot(Path);
       ASSERT_TRUE(Saved) << Saved.error().str();
 
       PlainEngine Restored(E.Gen->grammar());

@@ -55,10 +55,13 @@ TEST(Regex, ParseErrors) {
 }
 
 struct RegexCase {
+  const char *Name; ///< The test id: readable and stable across builds.
   const char *Pattern;
   const char *Text;
   bool Matches;
 };
+
+void PrintTo(const RegexCase &Case, std::ostream *OS) { *OS << Case.Name; }
 
 class RegexMatchTest : public ::testing::TestWithParam<RegexCase> {};
 
@@ -77,19 +80,29 @@ TEST_P(RegexMatchTest, NfaAndDfaAgreeWithExpectation) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, RegexMatchTest,
     ::testing::Values(
-        RegexCase{"abc", "abc", true}, RegexCase{"abc", "ab", false},
-        RegexCase{"a*", "", true}, RegexCase{"a*", "aaaa", true},
-        RegexCase{"a+", "", false}, RegexCase{"a+", "aa", true},
-        RegexCase{"a?b", "b", true}, RegexCase{"a?b", "aab", false},
-        RegexCase{"a|bc", "bc", true}, RegexCase{"a|bc", "ac", false},
-        RegexCase{"(ab)+", "ababab", true}, RegexCase{"(ab)+", "aba", false},
-        RegexCase{"[a-c]+", "abcba", true}, RegexCase{"[a-c]+", "abd", false},
-        RegexCase{"[^a-c]", "d", true}, RegexCase{"[^a-c]", "b", false},
-        RegexCase{".", "x", true}, RegexCase{".", "\n", false},
-        RegexCase{"\\[\\]", "[]", true}, RegexCase{"[\\-a]", "-", true},
-        RegexCase{"a(b|c)*d", "abcbcd", true},
-        RegexCase{"a(b|c)*d", "ad", true},
-        RegexCase{"a(b|c)*d", "abcb", false}));
+        RegexCase{"LiteralWhole", "abc", "abc", true},
+        RegexCase{"LiteralPrefix", "abc", "ab", false},
+        RegexCase{"StarEmpty", "a*", "", true},
+        RegexCase{"StarMany", "a*", "aaaa", true},
+        RegexCase{"PlusEmpty", "a+", "", false},
+        RegexCase{"PlusMany", "a+", "aa", true},
+        RegexCase{"OptionalAbsent", "a?b", "b", true},
+        RegexCase{"OptionalTwice", "a?b", "aab", false},
+        RegexCase{"AltRight", "a|bc", "bc", true},
+        RegexCase{"AltMixed", "a|bc", "ac", false},
+        RegexCase{"GroupPlusThrice", "(ab)+", "ababab", true},
+        RegexCase{"GroupPlusPartial", "(ab)+", "aba", false},
+        RegexCase{"RangePlusInside", "[a-c]+", "abcba", true},
+        RegexCase{"RangePlusOutside", "[a-c]+", "abd", false},
+        RegexCase{"NegatedClassOutside", "[^a-c]", "d", true},
+        RegexCase{"NegatedClassInside", "[^a-c]", "b", false},
+        RegexCase{"DotChar", ".", "x", true},
+        RegexCase{"DotNewline", ".", "\n", false},
+        RegexCase{"EscapedBrackets", "\\[\\]", "[]", true},
+        RegexCase{"ClassEscapedDash", "[\\-a]", "-", true},
+        RegexCase{"NestedStarMany", "a(b|c)*d", "abcbcd", true},
+        RegexCase{"NestedStarNone", "a(b|c)*d", "ad", true},
+        RegexCase{"NestedStarUnterminated", "a(b|c)*d", "abcb", false}));
 
 // Property: random small regexes over {a,b} agree between NFA simulation
 // and (lazy and eager) DFA on random strings.

@@ -1,9 +1,9 @@
 //===- tests/support/ByteStreamTest.cpp - Binary encoding tests -----------===//
 ///
-/// The ByteWriter/ByteReader contract under the snapshot subsystem:
-/// little-endian fixed-width values, LEB128 varints, length-prefixed
-/// strings and section frames — and, just as important, that every
-/// truncated or over-long input surfaces as an Expected error.
+/// The ByteWriter/ByteReader contract under the suspended-parse snapshot
+/// section: little-endian fixed-width values, LEB128 varints and
+/// length-prefixed strings — and, just as important, that every truncated
+/// or over-long input surfaces as an Expected error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,60 +120,13 @@ TEST(ByteStream, OverlongVarintIsRejected) {
   EXPECT_FALSE(R2.readVarint());
 }
 
-TEST(ByteStream, SectionFramesNestLengthsCorrectly) {
-  ByteWriter W;
-  size_t A = W.beginSection(fourCC('A', 'A', 'A', 'A'));
-  W.writeVarint(7);
-  W.writeString("body");
-  W.endSection(A);
-  size_t B = W.beginSection(fourCC('B', 'B', 'B', 'B'));
-  W.endSection(B); // Empty section.
-
-  ByteReader R(W.buffer());
-  Expected<ByteReader> BodyA = R.readSection(fourCC('A', 'A', 'A', 'A'));
-  ASSERT_TRUE(BodyA);
-  EXPECT_EQ(*BodyA->readVarint(), 7u);
-  EXPECT_EQ(*BodyA->readString(), "body");
-  EXPECT_TRUE(BodyA->atEnd());
-  Expected<ByteReader> BodyB = R.readSection(fourCC('B', 'B', 'B', 'B'));
-  ASSERT_TRUE(BodyB);
-  EXPECT_TRUE(BodyB->atEnd());
-  EXPECT_TRUE(R.atEnd());
-}
-
-TEST(ByteStream, SectionWithWrongTagOrShortBodyIsRejected) {
-  ByteWriter W;
-  size_t A = W.beginSection(fourCC('G', 'R', 'A', 'M'));
-  W.writeVarint(1);
-  W.endSection(A);
-
-  ByteReader Wrong(W.buffer());
-  EXPECT_FALSE(Wrong.readSection(fourCC('G', 'R', 'P', 'H')));
-
-  // Truncate inside the section body: the declared length now exceeds the
-  // remaining bytes.
-  ByteReader Short(W.buffer().data(), W.size() - 1);
-  EXPECT_FALSE(Short.readSection(fourCC('G', 'R', 'A', 'M')));
-}
-
-TEST(ByteStream, ConsumeBytesMatchesAndRestoresPosition) {
-  ByteWriter W;
-  W.writeBytes("ipg-snap-v1", 11);
-  W.writeU8(9);
-  ByteReader R(W.buffer());
-  EXPECT_FALSE(R.consumeBytes("ipg-snap-v2"));
-  EXPECT_EQ(R.position(), 0u); // Mismatch must not consume.
-  EXPECT_TRUE(R.consumeBytes("ipg-snap-v"));
-  EXPECT_TRUE(R.consumeBytes("1"));
-  EXPECT_EQ(*R.readU8(), 9);
-}
-
 TEST(ByteStream, FileRoundTrip) {
   std::string Path = ::testing::TempDir() + "bytestream_roundtrip.bin";
   ByteWriter W;
   W.writeVarint(12345);
   W.writeString("persisted");
-  Expected<size_t> Written = W.writeFile(Path);
+  Expected<size_t> Written =
+      writeBytesToFileAtomic(Path, W.buffer().data(), W.size());
   ASSERT_TRUE(Written);
   EXPECT_EQ(*Written, W.size());
 
@@ -183,5 +136,7 @@ TEST(ByteStream, FileRoundTrip) {
   std::remove(Path.c_str());
 
   EXPECT_FALSE(readFileBytes(Path)); // Gone now.
-  EXPECT_FALSE(W.writeFile(::testing::TempDir())); // Directory, not a file.
+  // Directory, not a file.
+  EXPECT_FALSE(
+      writeBytesToFileAtomic(::testing::TempDir(), W.buffer().data(), W.size()));
 }

@@ -45,7 +45,7 @@ int usage(const char *Argv0) {
       stderr,
       "usage: %s --bnf FILE [options]\n"
       "  --bnf FILE       grammar in BNF text format (required)\n"
-      "  --snapshot FILE  warm-start from an ipg-snap-v1/v2 snapshot\n"
+      "  --snapshot FILE  warm-start from an ipg-snap-v2 snapshot\n"
       "  --edits FILE     replay an edit script (see header comment)\n"
       "  --generate       force full table generation after loading\n"
       "  --parse 'TOK..'  recognize a token sequence (repeatable)\n"
