@@ -6,7 +6,7 @@
 /// generation vs. adopting a persisted graph (`Ipg::loadSnapshot`: mmap +
 /// validate + pool adoption, the zero-copy fast path) and, the
 /// cross-process extension of §6, repairing a *stale* snapshot whose
-/// grammar differs by one rule (the decode + remap path) vs. regenerating
+/// grammar differs by one rule (the in-place id remap path) vs. regenerating
 /// the modified grammar from scratch. Also pins the byte-determinism
 /// contract the CI job relies on: the same graph serializes to identical
 /// bytes, and a fingerprint-matched save→load→save round trip reproduces
@@ -140,9 +140,10 @@ int main(int argc, char **argv) {
   }
 
   // Stale repair: the live grammar gained one rule since the snapshot was
-  // taken. loadSnapshot decodes the old graph (zero-copy needs a layout
-  // match) and replays the delta through ADD-RULE; the parse re-expands
-  // only what the §6 MODIFY invalidated.
+  // taken. loadSnapshot checks the payload, adopts the old graph zero-copy
+  // with its ids remapped in the private mapping (identity maps here, since
+  // the rule was appended) and replays the delta through ADD-RULE; the
+  // parse re-expands only what the §6 MODIFY invalidated.
   std::vector<SymbolId> ModifiedTokens;
   {
     Grammar G;

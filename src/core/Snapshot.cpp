@@ -7,10 +7,10 @@
 /// private file mapping (support/MappedFile.h); the fingerprint-matched
 /// fast path adopts the flat GRPH section in place — borrowed pool spans,
 /// header-only checksum. The load path owns the stale-snapshot repair
-/// strategy: bring the live grammar to the snapshot's rule set, decode the
-/// graph, then replay the rule delta through the graph-level
-/// ADD-RULE/DELETE-RULE so MODIFY (§6.1) invalidates exactly the states
-/// the difference touches.
+/// strategy: bring the live grammar to the snapshot's rule set, adopt the
+/// graph with its ids remapped in place, then replay the rule delta
+/// through the graph-level ADD-RULE/DELETE-RULE so MODIFY (§6.1)
+/// invalidates exactly the states the difference touches.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,21 +33,21 @@ using namespace ipg;
 namespace {
 
 /// Process-wide snapshot observables (catalog in docs/OBSERVABILITY.md):
-/// the adopt vs decode split the warm-start story rests on, plus the §6
-/// stale-repair replay volume.
+/// the matched vs remapped split the warm-start story rests on, plus the
+/// §6 stale-repair replay volume.
 struct SnapMetrics {
   MetricsRegistry &R = MetricsRegistry::process();
   MetricCounter &Saves = R.counter("ipg.snapshot.saves");
   MetricCounter &SaveBytes = R.counter("ipg.snapshot.save_bytes");
   MetricCounter &V2Adopted = R.counter("ipg.snapshot.v2_adopted");
-  MetricCounter &V2Decoded = R.counter("ipg.snapshot.v2_decoded");
+  MetricCounter &V2Remapped = R.counter("ipg.snapshot.v2_remapped");
   /// Loads whose snapshot was stale (nonzero rule delta) and went through
   /// the §6 replay, and the rules replayed across all of them.
   MetricCounter &StaleRepairs = R.counter("ipg.snapshot.stale_repairs");
   MetricCounter &RulesReplayed = R.counter("ipg.snapshot.rules_replayed");
   LatencyHistogram &SaveLatency = R.histogram("ipg.snapshot.save");
   LatencyHistogram &LoadV2AdoptLatency = R.histogram("ipg.snapshot.load_v2_adopt");
-  LatencyHistogram &LoadV2DecodeLatency = R.histogram("ipg.snapshot.load_v2_decode");
+  LatencyHistogram &LoadV2RemapLatency = R.histogram("ipg.snapshot.load_v2_remap");
 
   static SnapMetrics &get() {
     static SnapMetrics M;
@@ -55,16 +55,16 @@ struct SnapMetrics {
   }
 };
 
-/// The shared slow path: maps the decoded snapshot grammar onto the live
-/// one, brings the live grammar to the snapshot's rule set, loads the
-/// graph through \p LoadGraph(SymbolMap, RuleMap), then replays the rule
-/// delta through the graph-level §6 operations. On a failed load the
-/// grammar's active set is restored and the graph reset — the generator
-/// stays usable.
-template <typename LoadFnT>
+/// The stale path: maps the decoded snapshot grammar onto the live one,
+/// brings the live grammar to the snapshot's rule set, adopts the GRPH
+/// section \p Grph (inside \p Mapping) with those id maps, then replays
+/// the rule delta through the graph-level §6 operations. On a failed load
+/// the grammar's active set is restored and the graph reset — the
+/// generator stays usable.
 Expected<SnapshotLoadResult>
 remapAndRepair(Grammar &G, ItemSetGraph &Graph, const GrammarSnapshot &Snap,
-               uint64_t SnapFingerprint, LoadFnT &&LoadGraph) {
+               uint64_t SnapFingerprint, uint8_t *Grph, size_t GrphLen,
+               std::shared_ptr<const MappedFile> Mapping) {
   // Map the snapshot's symbols onto the live table. Most stale snapshots
   // differ from the live grammar by a handful of appended rules, so ids
   // usually still coincide: try the in-place string compare first and fall
@@ -128,7 +128,8 @@ remapAndRepair(Grammar &G, ItemSetGraph &Graph, const GrammarSnapshot &Snap,
   for (RuleId Id : LiveOnly)
     G.removeRule(Id);
 
-  Expected<size_t> Loaded = LoadGraph(SymbolMap, RuleMap);
+  Expected<size_t> Loaded = GraphSnapshot::adoptV2(
+      Grph, GrphLen, Graph, std::move(Mapping), &SymbolMap, &RuleMap);
   if (!Loaded) {
     // Undo: restore the grammar's active set, reset the graph to the
     // freshly-constructed one-node state. The generator stays usable.
@@ -168,64 +169,73 @@ remapAndRepair(Grammar &G, ItemSetGraph &Graph, const GrammarSnapshot &Snap,
   return Result;
 }
 
-/// Identity id maps for the fingerprint-matched fast paths.
-std::vector<SymbolId> identitySymbolMap(const Grammar &G) {
-  std::vector<SymbolId> Map(G.symbols().size());
-  for (SymbolId Sym = 0; Sym < Map.size(); ++Sym)
-    Map[Sym] = Sym;
-  return Map;
-}
+/// The checked fields of a v2 file header.
+struct V2Header {
+  uint32_t HeaderBytes;
+  uint64_t Fingerprint, Layout;
+  uint64_t GramOff, GramLen, GrphOff, GrphLen;
+  uint64_t PayloadChk;
+};
 
-std::vector<RuleId> identityRuleMap(const Grammar &G) {
-  std::vector<RuleId> Map(G.numInternedRules());
-  for (RuleId Id = 0; Id < Map.size(); ++Id)
-    Map[Id] = Id;
-  return Map;
-}
-
-/// The v2 container: flat sections behind a header checksum (fast path)
-/// and a payload checksum (decode paths). Takes the mapping by shared_ptr
-/// because the zero-copy adoption hands it to the graph.
-Expected<SnapshotLoadResult>
-loadV2Container(Grammar &G, ItemSetGraph &Graph,
-                std::shared_ptr<MappedFile> Mapping) {
-  uint8_t *Data = Mapping->data();
-  const size_t Size = Mapping->size();
+/// Parses the header of a v2 file whose magic the caller has matched: the
+/// version byte, the header checksum (so the offsets and fingerprints can
+/// be trusted without touching the payload pages), the header size and
+/// the bounds of both sections.
+Expected<V2Header> parseV2Header(const uint8_t *Data, size_t Size) {
   if (Size < SnapshotV2HeaderBytes)
     return Error("truncated snapshot header");
   if (Data[11] != 0)
     return Error("unsupported snapshot version (expected ipg-snap-v2)");
   FlatView File(Data, Size);
-
-  // The header carries its own checksum so the fast path can trust the
-  // offsets and fingerprints without touching the payload pages.
   Expected<uint64_t> HeaderChk = File.u64At(72);
   if (!HeaderChk ||
       hashBytes(Data, SnapshotV2HeaderChecksumBytes) != *HeaderChk)
     return Error("snapshot header corrupted (checksum mismatch)");
 
+  V2Header H;
   Expected<uint32_t> HeaderBytes = File.u32At(12);
-  uint64_t Fields[7]; // fingerprint, layout, GramOff/Len, GrphOff/Len, chk.
-  for (int I = 0; I < 7; ++I) {
-    Expected<uint64_t> V = File.u64At(16 + 8 * static_cast<size_t>(I));
-    if (!V)
-      return V.error();
-    Fields[I] = *V;
-  }
-  const uint64_t SnapFingerprint = Fields[0], SnapLayout = Fields[1];
-  const uint64_t GramOff = Fields[2], GramLen = Fields[3];
-  const uint64_t GrphOff = Fields[4], GrphLen = Fields[5];
-  const uint64_t PayloadChk = Fields[6];
   if (!HeaderBytes || *HeaderBytes < SnapshotV2HeaderBytes ||
       *HeaderBytes > Size)
     return Error("malformed snapshot header");
-  if (GramOff < *HeaderBytes || GramOff > Size || GramLen > Size - GramOff ||
-      GrphOff < *HeaderBytes || GrphOff > Size || GrphLen > Size - GrphOff)
+  H.HeaderBytes = *HeaderBytes;
+  uint64_t *Fields[] = {&H.Fingerprint, &H.Layout,  &H.GramOff,   &H.GramLen,
+                        &H.GrphOff,     &H.GrphLen, &H.PayloadChk};
+  for (size_t I = 0; I < 7; ++I) {
+    Expected<uint64_t> V = File.u64At(16 + 8 * I);
+    if (!V)
+      return V.error();
+    *Fields[I] = *V;
+  }
+  if (H.GramOff < H.HeaderBytes || H.GramOff > Size ||
+      H.GramLen > Size - H.GramOff || H.GrphOff < H.HeaderBytes ||
+      H.GrphOff > Size || H.GrphLen > Size - H.GrphOff)
     return Error("snapshot section out of bounds");
+  return H;
+}
+
+/// Whole-payload integrity: the hash of every byte behind the header.
+bool payloadIntact(const uint8_t *Data, size_t Size, const V2Header &H) {
+  return hashBytesFast(Data + H.HeaderBytes, Size - H.HeaderBytes) ==
+         H.PayloadChk;
+}
+
+/// The v2 container: flat sections behind a header checksum (fast path)
+/// and a payload checksum (stale path). Takes the mapping by shared_ptr
+/// because adoption hands it to the graph.
+Expected<SnapshotLoadResult>
+loadV2Container(Grammar &G, ItemSetGraph &Graph,
+                std::shared_ptr<MappedFile> Mapping) {
+  uint8_t *Data = Mapping->data();
+  const size_t Size = Mapping->size();
+  Expected<V2Header> Header = parseV2Header(Data, Size);
+  if (!Header)
+    return Header.error();
+  const V2Header &H = *Header;
+  uint8_t *Grph = Data + H.GrphOff;
+  const size_t GrphLen = static_cast<size_t>(H.GrphLen);
   // The GRPH layout word (byte 28 of the section) names the cause of a
   // pre-flat-arena file before any checksum could blame corruption.
-  Expected<uint32_t> GrphLayout =
-      FlatView(Data + GrphOff, static_cast<size_t>(GrphLen)).u32At(28);
+  Expected<uint32_t> GrphLayout = FlatView(Grph, GrphLen).u32At(28);
   if (!GrphLayout)
     return Error("truncated graph section");
   if (*GrphLayout != GraphSnapshot::FlatArenaLayout)
@@ -233,63 +243,39 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
                  "is no longer supported; regenerate the snapshot");
 
   // Warm-start fast path: layout match means identity ids, so the GRPH
-  // section can be adopted straight out of the mapping — no GRAM decode,
-  // no payload checksum (the structural validation sweep inside adoptV2
-  // is the integrity check the trust model asks of a cache format).
-  if (SnapLayout == grammarLayoutFingerprint(G)) {
-    Expected<size_t> Loaded = Error("unreachable");
-    if (GraphSnapshot::hostCanAdoptV2()) {
-      IPG_TRACE_SPAN(Sp, "snap.load.v2_adopt");
-      ScopedLatency Lat(SnapMetrics::get().LoadV2AdoptLatency);
-      Loaded = GraphSnapshot::adoptV2(Data + GrphOff,
-                                      static_cast<size_t>(GrphLen), Graph,
-                                      Mapping);
-      if (Loaded)
-        SnapMetrics::get().V2Adopted.bump();
-    } else {
-      // Big-endian / exotic-ABI hosts: same file, endian-safe decode into
-      // owned storage. Integrity then comes from the payload checksum.
-      IPG_TRACE_SPAN(Sp, "snap.load.v2_decode");
-      ScopedLatency Lat(SnapMetrics::get().LoadV2DecodeLatency);
-      if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) !=
-          PayloadChk)
-        return Error("snapshot payload corrupted (checksum mismatch)");
-      Loaded = GraphSnapshot::loadV2(
-          FlatView(Data + GrphOff, static_cast<size_t>(GrphLen)), Graph,
-          identitySymbolMap(G), identityRuleMap(G));
-      if (Loaded)
-        SnapMetrics::get().V2Decoded.bump();
-    }
+  // section is adopted straight out of the mapping — no GRAM decode, no
+  // payload checksum (the structural validation sweep inside adoptV2 is
+  // the integrity check the trust model asks of a cache format).
+  if (H.Layout == grammarLayoutFingerprint(G)) {
+    IPG_TRACE_SPAN(Sp, "snap.load.v2_adopt");
+    ScopedLatency Lat(SnapMetrics::get().LoadV2AdoptLatency);
+    Expected<size_t> Loaded =
+        GraphSnapshot::adoptV2(Grph, GrphLen, Graph, Mapping);
     if (!Loaded) {
       GraphSnapshot::reset(Graph);
       return Loaded.error();
     }
+    SnapMetrics::get().V2Adopted.bump();
     SnapshotLoadResult Result;
     Result.FingerprintMatched = true;
-    Result.SnapshotFingerprint = SnapFingerprint;
+    Result.SnapshotFingerprint = H.Fingerprint;
     Result.StatesLoaded = *Loaded;
     return Result;
   }
 
-  // Remapping slow path: decodes every record anyway, so verify the whole
-  // payload up front.
+  // Stale path: the ids are rewritten in the mapping and the GRAM section
+  // is decoded, so verify the whole payload up front.
   IPG_TRACE_SPAN(Sp, "snap.load.v2_remap");
-  ScopedLatency Lat(SnapMetrics::get().LoadV2DecodeLatency);
-  SnapMetrics::get().V2Decoded.bump();
-  if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) != PayloadChk)
+  ScopedLatency Lat(SnapMetrics::get().LoadV2RemapLatency);
+  SnapMetrics::get().V2Remapped.bump();
+  if (!payloadIntact(Data, Size, H))
     return Error("snapshot payload corrupted (checksum mismatch)");
   Expected<GrammarSnapshot> Snap = readGrammarSnapshotV2(
-      FlatView(Data + GramOff, static_cast<size_t>(GramLen)));
+      FlatView(Data + H.GramOff, static_cast<size_t>(H.GramLen)));
   if (!Snap)
     return Snap.error();
-  return remapAndRepair(
-      G, Graph, *Snap, SnapFingerprint,
-      [&](const std::vector<SymbolId> &SymbolMap,
-          const std::vector<RuleId> &RuleMap) {
-        return GraphSnapshot::loadV2(
-            FlatView(Data + GrphOff, static_cast<size_t>(GrphLen)), Graph,
-            SymbolMap, RuleMap);
-      });
+  return remapAndRepair(G, Graph, *Snap, H.Fingerprint, Grph, GrphLen,
+                        std::move(Mapping));
 }
 
 } // namespace
@@ -357,9 +343,8 @@ Ipg::saveSnapshot(const std::string &Path,
 }
 
 Expected<SnapshotLoadResult> Ipg::loadSnapshot(const std::string &Path) {
-  // One private mapping: the decode paths read from it, the fast path
-  // borrows it (MappedFile's heap fallback keeps the contract on
-  // mmap-less hosts).
+  // One private mapping, which the graph borrows (MappedFile's heap
+  // fallback keeps the contract on mmap-less hosts).
   Expected<MappedFile> MapOrErr = MappedFile::open(Path);
   if (!MapOrErr)
     return MapOrErr.error();
@@ -389,33 +374,20 @@ ipg::readSnapshotExtraSection(const std::string &Path, uint32_t Tag) {
   const uint8_t *Data = Mapping.data();
   const size_t Size = Mapping.size();
   const size_t MagicLen = std::strlen(SnapshotMagicV2);
-  if (Size < SnapshotV2HeaderBytes ||
-      std::memcmp(Data, SnapshotMagicV2, MagicLen) != 0 || Data[11] != 0)
+  if (Size < MagicLen || std::memcmp(Data, SnapshotMagicV2, MagicLen) != 0)
     return Error("not an ipg-snap-v2 snapshot (extra sections are v2-only)");
-  FlatView File(Data, Size);
-
-  Expected<uint64_t> HeaderChk = File.u64At(72);
-  if (!HeaderChk ||
-      hashBytes(Data, SnapshotV2HeaderChecksumBytes) != *HeaderChk)
-    return Error("snapshot header corrupted (checksum mismatch)");
-  Expected<uint32_t> HeaderBytes = File.u32At(12);
-  Expected<uint64_t> GrphOff = File.u64At(48);
-  Expected<uint64_t> GrphLen = File.u64At(56);
-  Expected<uint64_t> PayloadChk = File.u64At(64);
-  if (!HeaderBytes || !GrphOff || !GrphLen || !PayloadChk ||
-      *HeaderBytes < SnapshotV2HeaderBytes || *HeaderBytes > Size)
-    return Error("malformed snapshot header");
-  if (*GrphOff < *HeaderBytes || *GrphOff > Size ||
-      *GrphLen > Size - *GrphOff)
-    return Error("snapshot section out of bounds");
+  Expected<V2Header> Header = parseV2Header(Data, Size);
+  if (!Header)
+    return Header.error();
   // A suspended parse is a one-shot artifact, not a hot cache: whole-file
   // integrity up front is cheap relative to the resume it gates.
-  if (hashBytesFast(Data + *HeaderBytes, Size - *HeaderBytes) != *PayloadChk)
+  if (!payloadIntact(Data, Size, *Header))
     return Error("snapshot payload corrupted (checksum mismatch)");
 
   // Walk the 8-aligned extra frames behind GRPH. Unknown tags are skipped
   // — coexisting riders from newer writers are expected, not errors.
-  uint64_t Off = (*GrphOff + *GrphLen + 7) & ~uint64_t(7);
+  FlatView File(Data, Size);
+  uint64_t Off = (Header->GrphOff + Header->GrphLen + 7) & ~uint64_t(7);
   while (Off + 16 <= Size) {
     Expected<uint32_t> FrameTag = File.u32At(static_cast<size_t>(Off));
     Expected<uint64_t> FrameLen = File.u64At(static_cast<size_t>(Off) + 8);

@@ -26,24 +26,28 @@
 /// The load fast path (layout fingerprint matches the live grammar)
 /// verifies the magic and the *header* checksum only, then adopts the
 /// GRPH section straight out of the copy-on-write mapping — borrowed pool
-/// spans, no per-record decode. The payload checksum is verified on the
-/// remapping slow path, which decodes every record anyway (and by loaders
-/// that want full integrity up front). The retired `ipg-snap-v1` varint
-/// format and the pre-flat-arena GRPH layout are rejected with an Error;
-/// since a snapshot is only a cache, the cost is one cold generation. Loading never discards a stale snapshot: when the fingerprint
-/// does not match the live grammar, the snapshot's rule set is diffed
-/// against the live one and the delta is replayed through
+/// spans, no per-record decode. A stale snapshot (layout mismatch) is
+/// adopted by the same reader after the payload checksum is verified: its
+/// symbol and rule ids are rewritten in the private mapping (never in the
+/// file), and loading never discards it — the snapshot's rule set is
+/// diffed against the live one and the delta is replayed through
 /// ADD-RULE/DELETE-RULE, so the §6 MODIFY machinery repairs exactly the
-/// states the difference touches.
+/// states the difference touches. The retired `ipg-snap-v1` varint format
+/// and the pre-flat-arena GRPH layout are rejected with an Error; since a
+/// snapshot is only a cache, the cost is one cold generation. The format
+/// is the in-memory pools, so the build requires a little-endian host
+/// (lr/GraphSnapshot.h).
 ///
 /// Trust model: snapshots are a cache format, not an untrusted-input
 /// format. Every read is bounds-checked and ids/indices/dots are
-/// validated, so a malformed file cannot make the *decoder* misbehave —
+/// validated, so a malformed file cannot make the *loader* misbehave —
 /// and accidental corruption is caught up front by the checksums (for the
 /// fast path: header corruption up front, payload corruption by the
 /// structural validation sweep, which skips only content-preserving
-/// in-range value flips). But a deliberately crafted file with a
-/// recomputed checksum can still describe a graph whose transitions
+/// in-range value flips and two sets colliding on one kernel; the stale
+/// path builds the kernel index and rejects that collision). But a
+/// deliberately crafted file with a recomputed checksum can still
+/// describe a graph whose transitions
 /// disagree with its reductions, which the parser would then follow off a
 /// cliff; validating that would mean re-running CLOSURE per state, i.e.
 /// regeneration. Grant snapshot files the same trust as the grammar they

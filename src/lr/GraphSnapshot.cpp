@@ -68,49 +68,29 @@ struct GrphHeader {
 };
 static_assert(sizeof(GrphHeader) == 136, "v2 GRPH header layout drifted");
 
-/// The zero-copy path reinterprets mapped arrays as the in-memory pool
-/// element types; it runs only where the layouts provably coincide.
-/// Elsewhere (or for remapping loads) the endian-safe field-by-field
-/// decoder runs. No pointer is ever serialized, so word size no longer
-/// matters — only endianness and the field widths.
-constexpr bool HostCanAdoptV2 =
-    std::endian::native == std::endian::little && sizeof(ItemSet) == 52 &&
-    alignof(ItemSet) <= 8 && sizeof(Item) == 8 && alignof(Item) <= 8 &&
-    sizeof(SymbolId) == 4 && sizeof(RuleId) == 4;
+/// The file IS the in-memory pools: save memcpys them out and load
+/// reinterprets the mapped arrays as the pool element types, so the build
+/// requires a host whose layouts coincide with the on-disk ones. No pointer
+/// is ever serialized, so word size does not matter — only endianness and
+/// the field widths.
+static_assert(std::endian::native == std::endian::little,
+              "ipg-snap-v2 is little-endian and loaded in place: the build "
+              "requires a little-endian host");
+static_assert(sizeof(ItemSet) == 52 && alignof(ItemSet) <= 8 &&
+                  sizeof(Item) == 8 && alignof(Item) <= 8 &&
+                  sizeof(SymbolId) == 4 && sizeof(RuleId) == 4,
+              "in-memory pool records drifted from the 52-byte v2 layout");
 
-/// Reads the fixed v2 GRPH header out of \p Section (endian-safe).
-Expected<GrphHeader> readGrphHeader(const FlatView &Section) {
+/// Reads the fixed v2 GRPH header out of the first bytes of a section.
+Expected<GrphHeader> readGrphHeader(const uint8_t *Section, size_t Bytes) {
+  if (Bytes < sizeof(GrphHeader))
+    return Error("truncated graph section");
   GrphHeader H;
-  uint32_t *U32Fields[] = {&H.NumSets,         &H.StartIdx,
-                           &H.NumKernelItems,  &H.NumTransitions,
-                           &H.NumOldTransitions, &H.NumReductions,
-                           &H.NumAcceptRules,  &H.Reserved};
-  size_t Off = 0;
-  for (uint32_t *Field : U32Fields) {
-    Expected<uint32_t> V = Section.u32At(Off);
-    if (!V)
-      return V.error();
-    *Field = *V;
-    Off += 4;
-  }
-  uint64_t *U64Fields[] = {&H.Stats[0],        &H.Stats[1],
-                           &H.Stats[2],        &H.Stats[3],
-                           &H.Stats[4],        &H.Stats[5],
-                           &H.OffSetRecs,      &H.OffKernelItems,
-                           &H.OffTransitions,  &H.OffOldTransitions,
-                           &H.OffActionLabels, &H.OffReductions,
-                           &H.OffAcceptRules};
-  for (uint64_t *Field : U64Fields) {
-    Expected<uint64_t> V = Section.u64At(Off);
-    if (!V)
-      return V.error();
-    *Field = *V;
-    Off += 8;
-  }
+  std::memcpy(&H, Section, sizeof(GrphHeader));
   return H;
 }
 
-/// Header-level checks shared by adoptV2 and loadV2.
+/// Header-level checks of the GRPH section.
 const char *checkGrphHeaderShape(const GrphHeader &H) {
   if (H.Reserved != GraphSnapshot::FlatArenaLayout)
     return "graph section is not in the flat-arena layout";
@@ -123,19 +103,9 @@ const char *checkGrphHeaderShape(const GrphHeader &H) {
   return nullptr;
 }
 
-/// Endian-safe unaligned loads for the v2 decode fallback. The compiler
-/// folds them to single loads on little-endian hosts; bounds are
-/// established once per pool before the loops run, so the hot decode path
-/// skips FlatView's per-field checks.
-inline uint32_t loadLe32(const uint8_t *P) {
-  return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
-         static_cast<uint32_t>(P[2]) << 16 | static_cast<uint32_t>(P[3]) << 24;
-}
-
-/// Flat-arena per-set record — the ItemSet field layout
-/// spelled out as plain integers, so validation and decode can inspect a
-/// record without ItemSet friend access. HostCanAdoptV2 plus these
-/// static_asserts pin the two layouts together.
+/// Flat-arena per-set record — the ItemSet field layout spelled out as
+/// plain integers, so validation can inspect a record without ItemSet
+/// friend access. The static_asserts pin the two layouts together.
 struct FlatRec {
   uint32_t Id;
   uint8_t State;
@@ -200,23 +170,16 @@ const char *checkFlatRecShape(const FlatRec &R, uint32_t Index,
 
 namespace {
 
-/// Emits a pool's bytes: on little-endian hosts two raw memcpys (base
-/// segment, then grow segment — that concatenation IS the offset space);
-/// elsewhere the per-element writer runs so the file stays little-endian.
-template <typename T, typename WriteElem>
-void emitPool(FlatWriter &Section, const PoolArena<T> &Pool,
-              WriteElem &&Write) {
-  if constexpr (std::endian::native == std::endian::little) {
-    if (Pool.baseSize() != 0)
-      Section.writeBytes(reinterpret_cast<const uint8_t *>(Pool.baseData()),
-                         Pool.baseSize() * sizeof(T));
-    if (Pool.growSize() != 0)
-      Section.writeBytes(reinterpret_cast<const uint8_t *>(Pool.growData()),
-                         Pool.growSize() * sizeof(T));
-  } else {
-    for (size_t I = 0, N = Pool.size(); I < N; ++I)
-      Write(*Pool.at(static_cast<uint32_t>(I)));
-  }
+/// Emits a pool's bytes: the base segment, then the grow segment — that
+/// concatenation IS the offset space.
+template <typename T>
+void emitPool(FlatWriter &Section, const PoolArena<T> &Pool) {
+  if (Pool.baseSize() != 0)
+    Section.writeBytes(reinterpret_cast<const uint8_t *>(Pool.baseData()),
+                       Pool.baseSize() * sizeof(T));
+  if (Pool.growSize() != 0)
+    Section.writeBytes(reinterpret_cast<const uint8_t *>(Pool.growData()),
+                       Pool.growSize() * sizeof(T));
 }
 
 } // namespace
@@ -257,70 +220,132 @@ void GraphSnapshot::saveV2(const ItemSetGraph &Graph, FlatWriter &Section) {
 
   uint64_t Offsets[7] = {0};
   Offsets[0] = Section.size() - Base;
-  emitPool(Section, Graph.Sets, [&](const ItemSet &R) {
-    Section.writeU32(R.Id);
-    Section.writeU8(static_cast<uint8_t>(R.State));
-    Section.writeU8(R.Accepting);
-    Section.writeU16(0);
-    Section.writeU32(R.RefCount);
-    const uint32_t Spans[10] = {R.KernelOff, R.KernelLen, R.TransOff,
-                                R.TransLen,  R.OldOff,    R.OldLen,
-                                R.RedOff,    R.RedLen,    R.AccOff,
-                                R.AccLen};
-    for (uint32_t Span : Spans)
-      Section.writeU32(Span);
-  });
+  emitPool(Section, Graph.Sets);
   Section.alignTo(8);
 
   Offsets[1] = Section.size() - Base;
-  emitPool(Section, Graph.Kernels, [&](const Item &I) {
-    Section.writeU32(I.Rule);
-    Section.writeU32(I.Dot);
-  });
+  emitPool(Section, Graph.Kernels);
 
   Offsets[2] = Section.size() - Base;
-  emitPool(Section, Graph.Trans,
-           [&](uint32_t Target) { Section.writeU32(Target); });
+  emitPool(Section, Graph.Trans);
   Section.alignTo(8);
   Offsets[3] = 0; // No separate old-transition pool in this layout.
 
   Offsets[4] = Section.size() - Base;
-  emitPool(Section, Graph.Labels,
-           [&](SymbolId Label) { Section.writeU32(Label); });
+  emitPool(Section, Graph.Labels);
   Section.alignTo(8);
 
   Offsets[5] = Section.size() - Base;
-  emitPool(Section, Graph.Reds, [&](RuleId Rule) { Section.writeU32(Rule); });
+  emitPool(Section, Graph.Reds);
   Section.alignTo(8);
 
   Offsets[6] = Section.size() - Base;
-  emitPool(Section, Graph.Accs, [&](RuleId Rule) { Section.writeU32(Rule); });
+  emitPool(Section, Graph.Accs);
   Section.alignTo(8);
 
   for (int I = 0; I < 7; ++I)
     Section.patchU64(OffTable + 8 * static_cast<size_t>(I), Offsets[I]);
 }
 
+namespace {
+
+/// True when \p Map sends every snapshot id to itself — the common stale
+/// case, where the live grammar only appended symbols and rules.
+bool isIdentity(const std::vector<uint32_t> &Map) {
+  for (uint32_t Id = 0; Id < Map.size(); ++Id)
+    if (Map[Id] != Id)
+      return false;
+  return true;
+}
+
+/// The stale-load step of adoptV2, run after the pool bounds checks:
+/// rewrites the snapshot's symbol and rule ids to the live grammar's,
+/// pool-wide and once per element, in place (the section lives in a
+/// private mapping, so the file never changes); then, per live set,
+/// restores the two orders the ids key — the canonical kernel and the
+/// label-sorted live edge span. Identity maps change no id and no order,
+/// so their ids are only range-checked. The validation sweep checks the
+/// result like any other section.
+const char *remapIds(uint8_t *SectionData, const GrphHeader &H,
+                     const std::vector<SymbolId> &SymbolMap,
+                     const std::vector<RuleId> &RuleMap) {
+  const bool Rewrite = !isIdentity(SymbolMap) || !isIdentity(RuleMap);
+  auto Remap = [&](uint32_t &Id, const std::vector<uint32_t> &Map) {
+    if (Id >= Map.size())
+      return false;
+    if (Rewrite)
+      Id = Map[Id];
+    return true;
+  };
+  Item *Kernels = reinterpret_cast<Item *>(SectionData + H.OffKernelItems);
+  uint32_t *Targets =
+      reinterpret_cast<uint32_t *>(SectionData + H.OffTransitions);
+  SymbolId *Labels =
+      reinterpret_cast<SymbolId *>(SectionData + H.OffActionLabels);
+  RuleId *Reds = reinterpret_cast<RuleId *>(SectionData + H.OffReductions);
+  RuleId *Accs = reinterpret_cast<RuleId *>(SectionData + H.OffAcceptRules);
+  for (uint32_t I = 0; I < H.NumKernelItems; ++I)
+    if (!Remap(Kernels[I].Rule, RuleMap))
+      return "kernel item references an unknown rule";
+  for (uint32_t I = 0; I < H.NumTransitions; ++I)
+    if (!Remap(Labels[I], SymbolMap))
+      return "transition label references an unknown symbol";
+  for (uint32_t I = 0; I < H.NumReductions; ++I)
+    if (!Remap(Reds[I], RuleMap))
+      return "reduction references an unknown rule";
+  for (uint32_t I = 0; I < H.NumAcceptRules; ++I)
+    if (!Remap(Accs[I], RuleMap))
+      return "accept rule references an unknown rule";
+  if (!Rewrite)
+    return nullptr;
+
+  // Old spans of Dirty sets carry no order contract, only their targets'
+  // references, so they keep their order.
+  const uint8_t *RecBytes = SectionData + H.OffSetRecs;
+  std::vector<std::pair<SymbolId, uint32_t>> Edges;
+  for (uint32_t I = 0; I < H.NumSets; ++I) {
+    FlatRec R;
+    std::memcpy(&R, RecBytes + size_t{sizeof(FlatRec)} * I, sizeof(FlatRec));
+    if (const char *Msg = checkFlatRecShape(R, I, H))
+      return Msg;
+    if (R.State == StateDead)
+      continue;
+    std::sort(Kernels + R.KernelOff, Kernels + R.KernelOff + R.KernelLen);
+    Edges.clear();
+    for (uint32_t J = R.TransOff; J < R.TransOff + R.TransLen; ++J)
+      Edges.emplace_back(Labels[J], Targets[J]);
+    std::sort(Edges.begin(), Edges.end());
+    for (uint32_t J = 0; J < R.TransLen; ++J) {
+      Labels[R.TransOff + J] = Edges[J].first;
+      Targets[R.TransOff + J] = Edges[J].second;
+    }
+  }
+  return nullptr;
+}
+
+} // namespace
+
 Expected<size_t>
 GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
                        ItemSetGraph &Graph,
-                       std::shared_ptr<const MappedFile> Backing) {
-  if constexpr (!HostCanAdoptV2)
-    return Error("zero-copy snapshot adoption requires a little-endian host "
-                 "with the on-disk record layout");
-
+                       std::shared_ptr<const MappedFile> Backing,
+                       const std::vector<SymbolId> *SymbolMap,
+                       const std::vector<RuleId> *RuleMap) {
+  assert((SymbolMap == nullptr) == (RuleMap == nullptr) &&
+         "id maps come in pairs");
   const Grammar &G = Graph.G;
-  FlatView Section(SectionData, SectionBytes);
-  Expected<GrphHeader> Header = readGrphHeader(Section);
+  Expected<GrphHeader> Header = readGrphHeader(SectionData, SectionBytes);
   if (!Header)
     return Header.error();
   const GrphHeader &H = *Header;
   if (const char *Msg = checkGrphHeaderShape(H))
     return Error(Msg);
 
-  // Every pool is written 8-aligned; reject a nudged offset table before
-  // any pointer arithmetic (the pools are only 4-strided, so alignment is
-  // not implied by the bounds checks).
+  // Every pool is written 8-aligned; reject a nudged section or offset
+  // table before any pointer arithmetic (the pools are only 4-strided, so
+  // alignment is not implied by the bounds checks).
+  if (reinterpret_cast<uintptr_t>(SectionData) % 8 != 0)
+    return Error("flat section: misaligned pool");
   const uint64_t PoolOffs[6] = {H.OffSetRecs,      H.OffKernelItems,
                                 H.OffTransitions,  H.OffActionLabels,
                                 H.OffReductions,   H.OffAcceptRules};
@@ -338,6 +363,9 @@ GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
       !PoolFits(H.OffReductions, 4, H.NumReductions) ||
       !PoolFits(H.OffAcceptRules, 4, H.NumAcceptRules))
     return Error("flat section: array out of bounds");
+  if (SymbolMap != nullptr)
+    if (const char *Msg = remapIds(SectionData, H, *SymbolMap, *RuleMap))
+      return Error(Msg);
 
   const uint8_t *RecBytes = SectionData + H.OffSetRecs;
   const Item *KernelPool =
@@ -355,8 +383,9 @@ GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
   const size_t NumRules = G.numInternedRules();
 
   // Read-only validation sweep — the graph is not touched until every
-  // check has passed, so an error leaves it exactly as it was. The three
-  // scratch vectors are the only allocations of the whole adoption.
+  // check has passed, so an error leaves it exactly as it was. Without id
+  // maps, the three scratch vectors are the only allocations of the whole
+  // adoption.
   std::vector<uint8_t> StateOf(H.NumSets);
   std::vector<uint32_t> HaveRef(H.NumSets);
   std::vector<uint32_t> WantRef(H.NumSets, 0);
@@ -436,10 +465,30 @@ GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
   Graph.Reds.adoptBase(RedPool, H.NumReductions);
   Graph.Accs.adoptBase(AccPool, H.NumAcceptRules);
   Graph.AdoptedSets = H.NumSets;
-  // The kernel index is deferred: pure queries against a fully complete
-  // adopted graph never need it.
-  Graph.KernelIndexReady.store(false, std::memory_order_release);
   Graph.Start = &Graph.setAt(H.StartIdx);
+  if (SymbolMap == nullptr) {
+    // The kernel index is deferred: pure queries against a fully complete
+    // adopted graph never need it.
+    Graph.KernelIndexReady.store(false, std::memory_order_release);
+  } else {
+    // A remapped load re-keyed every kernel, so it builds the index now and
+    // rejects two sets that collide on one kernel. The §6 repair that
+    // follows would build it on its first re-expansion anyway.
+    Graph.ByKernel.reserve(H.NumSets);
+    for (uint32_t I = 0; I < H.NumSets; ++I) {
+      ItemSet &State = Graph.setAt(I);
+      if (State.isDead())
+        continue;
+      KernelView K = Graph.kernel(&State);
+      std::vector<ItemSet *> &Bucket = Graph.ByKernel[hashKernel(K)];
+      for (const ItemSet *Other : Bucket)
+        if (kernelEquals(Graph.kernel(Other), K)) {
+          reset(Graph);
+          return Error("duplicate kernel in snapshot");
+        }
+      Bucket.push_back(&State);
+    }
+  }
 
   ItemSetGraphStats Loaded;
   Loaded.Expansions = H.Stats[0];
@@ -452,199 +501,6 @@ GraphSnapshot::adoptV2(uint8_t *SectionData, size_t SectionBytes,
   Graph.BorrowedStorage = std::move(Backing);
   return H.NumSets;
 }
-
-Expected<size_t> GraphSnapshot::loadV2(FlatView Section, ItemSetGraph &Graph,
-                                       const std::vector<SymbolId> &SymbolMap,
-                                       const std::vector<RuleId> &RuleMap) {
-  const Grammar &G = Graph.G;
-  Expected<GrphHeader> Header = readGrphHeader(Section);
-  if (!Header)
-    return Header.error();
-  const GrphHeader &H = *Header;
-  if (const char *Msg = checkGrphHeaderShape(H))
-    return Error(Msg);
-  // The flat record arrays must fit the section before any per-set work
-  // (overflow-safe: offset checked before the product is subtracted).
-  // This is what lets the decode loops below read through raw pointers,
-  // and it also bounds every allocation.
-  auto PoolFits = [&](uint64_t Off, uint64_t Stride, uint64_t Count) {
-    return Off <= Section.size() && Stride * Count <= Section.size() - Off;
-  };
-  if (!PoolFits(H.OffSetRecs, sizeof(FlatRec), H.NumSets) ||
-      !PoolFits(H.OffKernelItems, 8, H.NumKernelItems) ||
-      !PoolFits(H.OffTransitions, 4, H.NumTransitions) ||
-      !PoolFits(H.OffActionLabels, 4, H.NumTransitions) ||
-      !PoolFits(H.OffReductions, 4, H.NumReductions) ||
-      !PoolFits(H.OffAcceptRules, 4, H.NumAcceptRules))
-    return Error("flat section: array out of bounds");
-
-  clearStorage(Graph);
-  Graph.ByKernel.reserve(H.NumSets);
-  Graph.Sets.appendZeroed(H.NumSets);
-  for (uint32_t I = 0; I < H.NumSets; ++I)
-    Graph.setAt(I).Id = I;
-
-  // Field-by-field reads (endian-safe on every host): the decode cost the
-  // zero-copy path avoids, paid here only for stale snapshots that need
-  // their ids remapped anyway. The loops read through raw LE loads; the
-  // up-front pool bounds above cover every access. Abandoned span bytes
-  // are compacted away (only referenced spans are copied), but Dead
-  // tombstones are preserved: the record index space is the transition
-  // target space.
-  const uint8_t *Base = Section.data();
-  std::vector<std::pair<SymbolId, uint32_t>> Edges;
-  std::vector<SymbolId> TmpLabels;
-  std::vector<uint32_t> TmpTargets;
-  std::vector<RuleId> TmpRules;
-  Kernel K;
-
-  /// Live and old spans both index the parallel 4-byte target/label pools.
-  auto ReadEdgeSpan = [&](uint32_t Off, uint32_t Len, uint32_t &OutOff,
-                          uint32_t &OutLen) -> const char * {
-    Edges.clear();
-    for (uint32_t J = 0; J < Len; ++J) {
-      uint32_t Label =
-          loadLe32(Base + H.OffActionLabels + uint64_t{4} * (Off + J));
-      uint32_t Target =
-          loadLe32(Base + H.OffTransitions + uint64_t{4} * (Off + J));
-      if (Label >= SymbolMap.size())
-        return "transition label references an unknown symbol";
-      if (Target >= H.NumSets)
-        return "transition target out of range";
-      Edges.emplace_back(SymbolMap[Label], Target);
-    }
-    std::sort(Edges.begin(), Edges.end());
-    TmpLabels.clear();
-    TmpTargets.clear();
-    for (const auto &[Label, Target] : Edges) {
-      TmpLabels.push_back(Label);
-      TmpTargets.push_back(Target);
-    }
-    OutOff = Graph.Trans.append(TmpTargets.data(), TmpTargets.size());
-    uint32_t LOff = Graph.Labels.append(TmpLabels.data(), TmpLabels.size());
-    assert(OutOff == LOff && "Trans/Labels pools out of lockstep");
-    (void)LOff;
-    OutLen = static_cast<uint32_t>(Edges.size());
-    return nullptr;
-  };
-  auto ReadRuleSpan = [&](PoolArena<RuleId> &Pool, uint64_t PoolOff,
-                          uint32_t Off, uint32_t Len, uint32_t &OutOff,
-                          uint32_t &OutLen) -> const char * {
-    TmpRules.clear();
-    const uint8_t *Rec = Base + PoolOff + uint64_t{4} * Off;
-    for (uint32_t J = 0; J < Len; ++J, Rec += 4) {
-      uint32_t Rule = loadLe32(Rec);
-      if (Rule >= RuleMap.size())
-        return "reduction references an unknown rule";
-      TmpRules.push_back(RuleMap[Rule]);
-    }
-    OutOff = Pool.append(TmpRules.data(), TmpRules.size());
-    OutLen = static_cast<uint32_t>(TmpRules.size());
-    return nullptr;
-  };
-
-  for (uint32_t I = 0; I < H.NumSets; ++I) {
-    const uint8_t *RecBytes = Base + H.OffSetRecs + sizeof(FlatRec) * I;
-    FlatRec R;
-    R.Id = loadLe32(RecBytes);
-    R.State = RecBytes[4];
-    R.Accepting = RecBytes[5];
-    R.Pad = static_cast<uint16_t>(loadLe32(RecBytes + 4) >> 16);
-    R.RefCount = loadLe32(RecBytes + 8);
-    uint32_t *Fields[] = {&R.KernelOff, &R.KernelLen, &R.TransOff,
-                          &R.TransLen,  &R.OldOff,    &R.OldLen,
-                          &R.RedOff,    &R.RedLen,    &R.AccOff,
-                          &R.AccLen};
-    for (size_t F = 0; F < 10; ++F)
-      *Fields[F] = loadLe32(RecBytes + 12 + 4 * F);
-    if (const char *Msg = checkFlatRecShape(R, I, H))
-      return Error(Msg);
-
-    ItemSet &State = Graph.setAt(I);
-    State.State = static_cast<ItemSetState>(R.State);
-    if (R.State == StateDead)
-      continue; // Tombstone: keep the zeroed record (id already set).
-    State.Accepting = R.Accepting;
-
-    K.clear();
-    K.reserve(R.KernelLen);
-    const uint8_t *ItemBytes =
-        Base + H.OffKernelItems + uint64_t{8} * R.KernelOff;
-    for (uint32_t J = 0; J < R.KernelLen; ++J, ItemBytes += 8) {
-      uint32_t Rule = loadLe32(ItemBytes);
-      uint32_t Dot = loadLe32(ItemBytes + 4);
-      if (Rule >= RuleMap.size())
-        return Error("kernel item references an unknown rule");
-      RuleId Mapped = RuleMap[Rule];
-      if (Dot > G.rule(Mapped).Rhs.size())
-        return Error("kernel item dot beyond its rule");
-      K.push_back(Item{Mapped, Dot});
-    }
-    canonicalizeKernel(K);
-    std::vector<ItemSet *> &Bucket = Graph.ByKernel[hashKernel(K)];
-    for (const ItemSet *Other : Bucket)
-      if (kernelEquals(Graph.kernel(Other), K))
-        return Error("duplicate kernel in snapshot");
-    State.KernelOff = Graph.Kernels.append(K.data(), K.size());
-    State.KernelLen = static_cast<uint32_t>(K.size());
-    Bucket.push_back(&State);
-
-    if (const char *Msg = ReadEdgeSpan(R.TransOff, R.TransLen, State.TransOff,
-                                       State.TransLen))
-      return Error(Msg);
-    if (const char *Msg =
-            ReadEdgeSpan(R.OldOff, R.OldLen, State.OldOff, State.OldLen))
-      return Error(Msg);
-    if (const char *Msg = ReadRuleSpan(Graph.Reds, H.OffReductions, R.RedOff,
-                                       R.RedLen, State.RedOff, State.RedLen))
-      return Error(Msg);
-    if (const char *Msg = ReadRuleSpan(Graph.Accs, H.OffAcceptRules, R.AccOff,
-                                       R.AccLen, State.AccOff, State.AccLen))
-      return Error(Msg);
-  }
-
-  Graph.Start = &Graph.setAt(H.StartIdx);
-  if (Graph.Start->isDead())
-    return Error("start set is dead");
-  // Re-derive reference counts from the incoming edges (the DECR-REFCOUNT
-  // bookkeeping of §6.2): one per transition, old or new, plus the start
-  // set's root pin. Persisted counts are not carried through a remap.
-  Graph.Start->RefCount = 1;
-  for (uint32_t I = 0; I < H.NumSets; ++I) {
-    const ItemSet &State = Graph.setAt(I);
-    if (State.isDead())
-      continue;
-    auto Bump = [&](TransitionRange Range) -> const char * {
-      for (ItemSet::Transition T : Range) {
-        if (T.Target->isDead())
-          return "transition to a dead set";
-        ++T.Target->RefCount;
-      }
-      return nullptr;
-    };
-    if (const char *Msg = Bump(Graph.transitions(&State)))
-      return Error(Msg);
-    if (const char *Msg = Bump(Graph.oldTransitions(&State)))
-      return Error(Msg);
-  }
-  for (uint32_t I = 0; I < H.NumSets; ++I) {
-    const ItemSet &State = Graph.setAt(I);
-    if (!State.isDead() && State.RefCount == 0)
-      return Error("orphaned set in snapshot");
-  }
-
-  ItemSetGraphStats Loaded;
-  Loaded.Expansions = H.Stats[0];
-  Loaded.ReExpansions = H.Stats[1];
-  Loaded.ClosureItems = H.Stats[2];
-  Loaded.DirtyMarks = H.Stats[3];
-  Loaded.Collected = H.Stats[4];
-  Loaded.GotoCalls = H.Stats[5];
-  Graph.storeStats(Loaded);
-  return H.NumSets;
-}
-
-bool GraphSnapshot::hostCanAdoptV2() { return HostCanAdoptV2; }
 
 void GraphSnapshot::clearStorage(ItemSetGraph &Graph) {
   Graph.Sets.clear();

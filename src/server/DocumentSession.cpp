@@ -30,12 +30,14 @@ constexpr size_t NotAffected = std::numeric_limits<size_t>::max();
 /// The first layer whose checkpoint (or the live frontier) contains a set
 /// the MODIFY chain invalidated — everything from that layer on was
 /// computed by querying at least one changed ACTION/GOTO table and must
-/// be re-stepped. \p Affected is sorted (affectedSince contract).
+/// be re-stepped. \p Affected is sorted and ends with the id bound at or
+/// above which every id is affected (affectedSince contract).
 size_t firstAffectedLayer(const GssEngine &Eng,
                           const std::vector<uint32_t> &Affected) {
   auto Hit = [&](const GssNode *Node) {
-    return std::binary_search(Affected.begin(), Affected.end(),
-                              Node->State->id());
+    const uint32_t Id = Node->State->id();
+    return (!Affected.empty() && Id >= Affected.back()) ||
+           std::binary_search(Affected.begin(), Affected.end(), Id);
   };
   const std::deque<GssLayerRecord> &Recs = Eng.records();
   for (size_t Layer = 0; Layer < Recs.size(); ++Layer)

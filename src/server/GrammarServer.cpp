@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 using namespace ipg;
@@ -30,22 +31,6 @@ struct ServerMetrics {
     return M;
   }
 };
-
-/// Identity id maps for the non-adopting loadV2 fallback: an exact clone
-/// shares every id with its source, so no remapping is ever needed.
-std::vector<SymbolId> identitySymbolMap(const Grammar &G) {
-  std::vector<SymbolId> Map(G.symbols().size());
-  for (SymbolId Sym = 0; Sym < Map.size(); ++Sym)
-    Map[Sym] = Sym;
-  return Map;
-}
-
-std::vector<RuleId> identityRuleMap(const Grammar &G) {
-  std::vector<RuleId> Map(G.numInternedRules());
-  for (RuleId Id = 0; Id < Map.size(); ++Id)
-    Map[Id] = Id;
-  return Map;
-}
 
 } // namespace
 
@@ -76,62 +61,60 @@ std::shared_ptr<GraphEpoch> GrammarServer::forkOf(GraphEpoch &Cur) {
 
   // Serialize the predecessor's graph under an expansion freeze. saveV2
   // only reads, and queries against Complete sets keep running — a parse
-  // thread stalls during the fork only if it needs a set *expanded*.
+  // thread stalls during the fork only if it needs a set *expanded*. The
+  // id bound is read under the same freeze: sets that sessions expand in
+  // the predecessor after it lifts never reach the fork.
   FlatWriter Section;
+  ForkDamage Entry;
+  Entry.Generation = Next->generation();
   {
     ItemSetGraph::FreezeGuard Freeze(Cur.graph());
     GraphSnapshot::saveV2(Cur.graph(), Section);
+    Entry.IdBound = static_cast<uint32_t>(Cur.graph().numSetIds());
   }
+  // recordForkDamage completes the entry once the edit has been applied.
+  ForkLog.push_back(std::move(Entry));
 
   // Materialize the serialization as an anonymous private "mapping" and
   // adopt it zero-copy: the successor's sets borrow spans of this buffer
   // until a MODIFY or EXPAND of a given set copies it out (the same
-  // copy-on-write seam warm starts use). Fall back to the endian-safe
-  // decode where adoption is unavailable, and to a cold one-node graph if
-  // both fail — correctness never depends on the fast path.
+  // copy-on-write seam warm starts use). Fall back to a cold one-node
+  // graph if that fails — correctness never depends on the fast path.
   Next->Adopted = false;
-  bool Loaded = false;
   Expected<MappedFile> Buffer =
       MappedFile::copyOf(Section.buffer().data(), Section.size());
   if (Buffer) {
-    if (GraphSnapshot::hostCanAdoptV2()) {
-      auto Backing = std::make_shared<const MappedFile>(std::move(*Buffer));
-      Expected<size_t> N = GraphSnapshot::adoptV2(
-          Backing->data(), Backing->size(), Next->Graph, Backing);
-      Next->Adopted = Loaded = bool(N);
-    } else {
-      Expected<size_t> N = GraphSnapshot::loadV2(
-          FlatView(Buffer->data(), Buffer->size()), Next->Graph,
-          identitySymbolMap(Next->G), identityRuleMap(Next->G));
-      Loaded = bool(N);
-    }
+    auto Backing = std::make_shared<const MappedFile>(std::move(*Buffer));
+    Next->Adopted = bool(GraphSnapshot::adoptV2(
+        Backing->data(), Backing->size(), Next->Graph, Backing));
   }
-  if (!Loaded)
+  if (!Next->Adopted)
     GraphSnapshot::reset(Next->Graph);
-  if (Next->Adopted)
+  else
     ServerMetrics::get().ForksAdopted.bump();
   return Next;
 }
 
-void GrammarServer::recordForkDamage(const GraphEpoch &Cur, GraphEpoch &Next) {
+void GrammarServer::recordForkDamage(GraphEpoch &Next) {
   // Only predecessor-era ids matter: sets the fork created are invisible
-  // to any GSS built against an earlier epoch. Everything the MODIFY
-  // marking left non-Complete is affected — Dirty is the §6.2 signal,
-  // null (tombstoned) is fatal for reuse, and inherited still-Dirty sets
-  // from older forks make the union a conservative superset, which is
-  // always sound (it only widens what a migration refuses to reuse).
-  // Initial sets are *not* affected: their behavior was never queried by
-  // any checkpointed layer, and their eventual expansion reads whichever
-  // grammar is current — exactly what a migrated parse wants.
-  ForkDamage Entry;
-  Entry.Generation = Next.generation();
-  const uint32_t IdBound = static_cast<uint32_t>(Cur.graph().numSetIds());
-  for (uint32_t Id = 0; Id < IdBound; ++Id) {
+  // to any GSS built against an earlier epoch, and ids at or above the
+  // bound forkOf froze are affected wholesale (affectedSince). Everything
+  // the MODIFY marking left non-Complete is affected — Dirty is the §6.2
+  // signal, null (tombstoned) is fatal for reuse, and inherited
+  // still-Dirty sets from older forks make the union a conservative
+  // superset, which is always sound (it only widens what a migration
+  // refuses to reuse). Initial sets are *not* affected: their behavior was
+  // never queried by any checkpointed layer, and their eventual expansion
+  // reads whichever grammar is current — exactly what a migrated parse
+  // wants.
+  ForkDamage &Entry = ForkLog.back();
+  assert(Entry.Generation == Next.generation() &&
+         "forkOf opens the fork's damage entry");
+  for (uint32_t Id = 0; Id < Entry.IdBound; ++Id) {
     const ItemSet *S = Next.graph().setById(Id);
     if (S == nullptr || S->state() == ItemSetState::Dirty)
       Entry.Affected.push_back(Id);
   }
-  ForkLog.push_back(std::move(Entry));
   if (ForkLog.size() > ForkLogCap)
     ForkLog.erase(ForkLog.begin(),
                   ForkLog.begin() +
@@ -148,16 +131,28 @@ bool GrammarServer::affectedSince(uint64_t SinceGen,
     return true; // Already current: empty damage.
   // The log is append-ordered by generation; every fork in
   // (SinceGen, CurGen] must still be present or the gap is unknowable.
-  size_t Found = 0;
+  // A GSS built at SinceGen may hold sets its epoch expanded after the
+  // first fork of the gap froze it, so every id at or above the lowest
+  // bound in the gap is affected.
+  size_t Found = 0, Total = 0;
+  uint32_t Bound = std::numeric_limits<uint32_t>::max();
   for (const ForkDamage &E : ForkLog)
     if (E.Generation > SinceGen) {
-      Out.insert(Out.end(), E.Affected.begin(), E.Affected.end());
+      Total += E.Affected.size();
+      Bound = std::min(Bound, E.IdBound);
       ++Found;
     }
   if (Found != CurGen - SinceGen)
     return false;
+  Out.reserve(Out.size() + Total + 1);
+  for (const ForkDamage &E : ForkLog)
+    if (E.Generation > SinceGen)
+      for (uint32_t Id : E.Affected)
+        if (Id < Bound)
+          Out.push_back(Id);
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  Out.push_back(Bound);
   return true;
 }
 
@@ -186,7 +181,7 @@ bool GrammarServer::addRule(SymbolId Lhs, std::vector<SymbolId> Rhs) {
   std::shared_ptr<GraphEpoch> Next = forkOf(*Cur);
   bool Changed = Next->Graph.addRule(Lhs, std::move(Rhs));
   assert(Changed && "pre-checked edit did not change the fork");
-  recordForkDamage(*Cur, *Next);
+  recordForkDamage(*Next);
   LastForkAdopted = Next->Adopted;
   publish(std::move(Next));
   return Changed;
@@ -201,7 +196,7 @@ bool GrammarServer::removeRule(SymbolId Lhs, const std::vector<SymbolId> &Rhs) {
   std::shared_ptr<GraphEpoch> Next = forkOf(*Cur);
   bool Changed = Next->Graph.removeRule(Lhs, Rhs);
   assert(Changed && "pre-checked edit did not change the fork");
-  recordForkDamage(*Cur, *Next);
+  recordForkDamage(*Next);
   LastForkAdopted = Next->Adopted;
   publish(std::move(Next));
   return Changed;
@@ -240,7 +235,7 @@ bool GrammarServer::addRule(std::string_view Lhs,
     RhsIds.push_back(NextSyms.intern(Name));
   bool Changed = Next->Graph.addRule(LhsId, std::move(RhsIds));
   assert(Changed && "pre-checked edit did not change the fork");
-  recordForkDamage(*Cur, *Next);
+  recordForkDamage(*Next);
   LastForkAdopted = Next->Adopted;
   publish(std::move(Next));
   return Changed;

@@ -76,7 +76,7 @@ public:
   const ItemSetGraph &graph() const { return Graph; }
 
   /// True when this epoch's graph was adopted zero-copy from its
-  /// predecessor's serialization (vs the decode/cold-start fallbacks).
+  /// predecessor's serialization (vs the cold-start fallback).
   bool adopted() const { return Adopted; }
 
   /// Parses served against this epoch (all sessions; relaxed counter).
@@ -173,10 +173,12 @@ public:
   /// \p SinceGen — the damage a parse pinned at \p SinceGen must respect
   /// to migrate to the current epoch (server/DocumentSession.h). Ids are
   /// predecessor-era (comparable against any GSS built at \p SinceGen or
-  /// later); the union is sorted and deduplicated. Returns false when the
-  /// fork log no longer covers the whole gap (the server keeps a bounded
-  /// window of fork damage) — the caller must then assume everything
-  /// changed and re-parse from scratch.
+  /// later); the union is sorted and deduplicated, and its last element is
+  /// an id bound: every id at or above Out.back() is affected too (sets an
+  /// epoch expanded after a fork froze it, which the fork never saw).
+  /// Returns false when the fork log no longer covers the whole gap (the
+  /// server keeps a bounded window of fork damage) — the caller must then
+  /// assume everything changed and re-parse from scratch.
   bool affectedSince(uint64_t SinceGen, std::vector<uint32_t> &Out) const;
 
   /// Number of epochs still alive — published or kept alive by sessions.
@@ -186,7 +188,7 @@ public:
 
   /// True when the most recent fork adopted its predecessor's graph
   /// zero-copy (introspection for tests; false before the first fork and
-  /// on the decode/cold-start fallbacks).
+  /// on the cold-start fallback).
   bool lastForkAdopted() const;
 
   /// A point-in-time observability document: current generation, live
@@ -198,17 +200,18 @@ public:
   JsonValue metricsJson() const;
 
 private:
-  /// Builds and publishes the successor epoch; caller holds WriterMutex
-  /// and has already applied the edit to \p Next's grammar via the
-  /// returned epoch's graph. Implemented in GrammarServer.cpp.
+  /// Builds the successor epoch of \p Cur and opens its fork-log entry,
+  /// whose id bound is read under the expansion freeze; caller holds
+  /// WriterMutex, applies the edit to the returned epoch's graph, then
+  /// calls recordForkDamage and publish. Implemented in GrammarServer.cpp.
   std::shared_ptr<GraphEpoch> forkOf(GraphEpoch &Cur);
   void publish(std::shared_ptr<GraphEpoch> Next);
 
   /// Captures, post-edit and pre-publish, which predecessor-era sets the
   /// fork's MODIFY invalidated (everything the §6.2 marking left
-  /// non-Complete) into the bounded fork log behind affectedSince().
+  /// non-Complete) into the fork-log entry forkOf opened for \p Next.
   /// Caller holds WriterMutex.
-  void recordForkDamage(const GraphEpoch &Cur, GraphEpoch &Next);
+  void recordForkDamage(GraphEpoch &Next);
 
   /// Serializes writers (forks). Readers never take it.
   mutable std::mutex WriterMutex;
@@ -224,7 +227,10 @@ private:
   /// back to a from-scratch parse). Guarded by WriterMutex; independent
   /// of epoch lifetimes so a migration can span reclaimed epochs.
   struct ForkDamage {
-    uint64_t Generation;
+    uint64_t Generation = 0;
+    /// The predecessor's set count when the fork serialized it.
+    uint32_t IdBound = 0;
+    /// Affected ids below IdBound, ascending.
     std::vector<uint32_t> Affected;
   };
   static constexpr size_t ForkLogCap = 64;

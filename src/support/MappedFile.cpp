@@ -37,9 +37,9 @@ Expected<MappedFile> MappedFile::open(const std::string &Path) {
     ::close(Fd);
     return Error("'" + Path + "' is empty");
   }
-  // PROT_WRITE + MAP_PRIVATE: the snapshot loader patches transition
-  // records in place; the kernel copies only the touched pages and the
-  // file itself is never modified.
+  // PROT_WRITE + MAP_PRIVATE: a stale-snapshot load rewrites ids in
+  // place; the kernel copies only the touched pages and the file itself is
+  // never modified.
   void *Base =
       ::mmap(nullptr, Size, PROT_READ | PROT_WRITE, MAP_PRIVATE, Fd, 0);
   ::close(Fd); // The mapping holds its own reference.

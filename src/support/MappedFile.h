@@ -3,10 +3,10 @@
 /// \file
 /// A whole-file memory mapping with copy-on-write semantics, the backing
 /// store of the `ipg-snap-v2` zero-copy snapshot load. The file is mapped
-/// MAP_PRIVATE and read-write: the loader patches item-set transition
-/// records in place (index -> pointer fixup), and the kernel materializes
-/// only the touched pages — everything else stays a clean page backed by
-/// the file. On platforms without mmap the whole file is read into an
+/// MAP_PRIVATE and read-write: a stale-snapshot load rewrites symbol and
+/// rule ids in place, and the kernel materializes only the touched pages —
+/// everything else stays a clean page backed by the file, which is never
+/// written. On platforms without mmap the whole file is read into an
 /// 8-byte-aligned heap buffer instead; the adoption contract (stable bytes
 /// for the lifetime of this object, writable in place) is identical.
 ///

@@ -7,12 +7,13 @@
 /// GRPH section zero-copy (the data pools' base segments point into the
 /// mapping, pinned here by a numAdoptedSets() probe and by an allocation
 /// count that does not grow with the graph); adopted graphs stay fully
-/// §6-capable through the copy-on-MODIFY materialization; malformed files
-/// — truncated, header-corrupted, misaligned, semantically invalid — are
-/// rejected with the generator left usable; the checked-in golden v2 file
-/// keeps loading and re-saves byte-identically; and retired encodings
-/// (the checked-in v1 file, a pre-flat-arena v2 file) are rejected with
-/// an error naming the cause.
+/// §6-capable through the copy-on-MODIFY materialization; a stale snapshot
+/// is adopted too, its ids rewritten in the private mapping; malformed
+/// files — truncated, header-corrupted, misaligned, semantically invalid,
+/// colliding kernels — are rejected with the generator left usable; the
+/// checked-in golden v2 file keeps loading and re-saves byte-identically;
+/// and retired encodings (the checked-in v1 file, a pre-flat-arena v2
+/// file) are rejected with an error naming the cause.
 ///
 /// This suite must stay in its own test executable: like
 /// HotPathAllocTest.cpp it replaces the global operator new with a
@@ -22,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "common/GraphCanon.h"
+#include "common/IndexCheck.h"
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 #include "grammar/GrammarBuilder.h"
@@ -208,6 +210,40 @@ void resealV2(std::vector<uint8_t> &File) {
   PatchU64(72, hashBytes(File.data(), SnapshotV2HeaderChecksumBytes));
 }
 
+/// Little-endian field reads and writes on a snapshot image.
+uint64_t readLe(const std::vector<uint8_t> &File, size_t Off, int Bytes) {
+  uint64_t Value = 0;
+  for (int I = 0; I < Bytes; ++I)
+    Value |= static_cast<uint64_t>(File[Off + static_cast<size_t>(I)])
+             << (8 * I);
+  return Value;
+}
+void writeLe32(std::vector<uint8_t> &File, size_t Off, uint32_t Value) {
+  for (int I = 0; I < 4; ++I)
+    File[Off + static_cast<size_t>(I)] = static_cast<uint8_t>(Value >> (8 * I));
+}
+
+/// File offset of the GRPH section (header offset 48).
+size_t grphOffset(const std::vector<uint8_t> &File) {
+  return static_cast<size_t>(readLe(File, 48, 8));
+}
+
+/// File offset of set record \p Id (the GRPH OffSetRecs field is at
+/// section offset 80; records are 52 bytes).
+size_t setRecordOffset(const std::vector<uint8_t> &File, uint32_t Id) {
+  const size_t Grph = grphOffset(File);
+  return Grph + static_cast<size_t>(readLe(File, Grph + 80, 8)) +
+         size_t{52} * Id;
+}
+
+/// The arithmetic grammar plus `F ::= neg F` — a one-rule-newer grammar
+/// whose layout no longer matches a snapshot of buildArith, so loading
+/// that snapshot takes the remapped path.
+void buildArithWithNeg(Grammar &G) {
+  buildArith(G);
+  GrammarBuilder(G).rule("F", {"neg", "F"});
+}
+
 } // namespace
 
 TEST(SnapshotV2, CountingOperatorNewIsLive) {
@@ -233,11 +269,9 @@ TEST(SnapshotV2, MatchedLoadAdoptsBorrowedStorage) {
   ASSERT_TRUE(R) << R.error().str();
   EXPECT_TRUE(R->FingerprintMatched);
   EXPECT_EQ(R->StatesLoaded, States);
-  if (GraphSnapshot::hostCanAdoptV2()) {
-    // The zero-copy path must actually have engaged — every set record
-    // was adopted out of the mapping, and the data pools read through it.
-    EXPECT_EQ(countBorrowed(Loaded.graph()), States);
-  }
+  // The zero-copy path must actually have engaged — every set record was
+  // adopted out of the mapping, and the data pools read through it.
+  EXPECT_EQ(countBorrowed(Loaded.graph()), States);
   EXPECT_TRUE(Loaded.recognize(sentence(G2, "id + id * id")));
   EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Gen.graph()));
 }
@@ -265,15 +299,13 @@ TEST(SnapshotV2, AdoptedGraphSurvivesModifyViaCopyOnWrite) {
   ASSERT_TRUE(Loaded.addRule("F", {"neg", "F"}));
   EXPECT_TRUE(Loaded.recognize(sentence(G2, "neg id + id")));
   EXPECT_TRUE(Loaded.recognize(sentence(G2, "id * neg neg id")));
-  if (GraphSnapshot::hostCanAdoptV2()) {
-    EXPECT_GT(BorrowedBefore, 0u) << "the adoption path must have engaged";
-    EXPECT_EQ(countBorrowed(Loaded.graph()), BorrowedBefore)
-        << "MODIFY must not evict the adopted base pools — repairs are "
-           "appends, not a wholesale copy";
-    EXPECT_GT(Loaded.graph().liveSets().size(), BorrowedBefore)
-        << "re-expansion after ADD-RULE must have appended new sets "
-           "beyond the adopted block";
-  }
+  EXPECT_GT(BorrowedBefore, 0u) << "the adoption path must have engaged";
+  EXPECT_EQ(countBorrowed(Loaded.graph()), BorrowedBefore)
+      << "MODIFY must not evict the adopted base pools — repairs are "
+         "appends, not a wholesale copy";
+  EXPECT_GT(Loaded.graph().liveSets().size(), BorrowedBefore)
+      << "re-expansion after ADD-RULE must have appended new sets "
+         "beyond the adopted block";
 
   Grammar GRef;
   Grammar::cloneActiveRules(G2, GRef);
@@ -286,9 +318,6 @@ TEST(SnapshotV2, MatchedLoadAllocationsDoNotGrowWithTheGraph) {
   // v2 load allocates a small constant number of blocks (the mapping
   // handle and the adopted ItemSet block) regardless of how many sets the
   // snapshot holds — zero allocations per ItemSet.
-  if (!GraphSnapshot::hostCanAdoptV2())
-    GTEST_SKIP() << "host cannot run the zero-copy adoption path";
-
   auto MeasureLoad = [&](int Layers, size_t &StatesOut) {
     SnapshotFile File("snapv2_alloc_" + std::to_string(Layers) + ".bin");
     Grammar G;
@@ -468,9 +497,7 @@ TEST(SnapshotV2, ResavingOverTheBorrowedFileIsSafe) {
   // keep querying through the borrowed spans.
   ASSERT_TRUE(Loaded.saveSnapshot(File.path()));
   EXPECT_TRUE(Loaded.recognize(sentence(G2, "id + id * id")));
-  if (GraphSnapshot::hostCanAdoptV2()) {
-    EXPECT_TRUE(WasBorrowed);
-  }
+  EXPECT_TRUE(WasBorrowed);
 
   // And the swapped-in file is a complete, loadable snapshot.
   Grammar G3;
@@ -482,8 +509,9 @@ TEST(SnapshotV2, ResavingOverTheBorrowedFileIsSafe) {
   EXPECT_EQ(canonicalize(Again.graph()), canonicalize(Gen.graph()));
 }
 
-TEST(SnapshotV2, StaleSnapshotRepairsThroughTheDecodePath) {
-  // Layout mismatch forces the endian-safe decode plus §6 delta replay.
+TEST(SnapshotV2, StaleSnapshotIsAdoptedAndRepaired) {
+  // A layout mismatch remaps the ids in place, still zero-copy, then
+  // replays the delta through §6.
   SnapshotFile File("snapv2_stale.bin");
   Grammar G;
   buildArith(G);
@@ -501,8 +529,8 @@ TEST(SnapshotV2, StaleSnapshotRepairsThroughTheDecodePath) {
   EXPECT_EQ(R->RulesAdded, 1u);
   EXPECT_EQ(R->RulesRemoved, 0u);
   EXPECT_EQ(R->StatesLoaded, FullStates);
-  EXPECT_EQ(countBorrowed(Loaded.graph()), 0u)
-      << "the decode path owns its records";
+  EXPECT_EQ(countBorrowed(Loaded.graph()), FullStates)
+      << "the stale load must adopt the mapped pools too";
 
   uint64_t ReExpansionsBefore = Loaded.stats().ReExpansions;
   EXPECT_TRUE(Loaded.recognize(sentence(G2, "neg id + id")));
@@ -514,6 +542,138 @@ TEST(SnapshotV2, StaleSnapshotRepairsThroughTheDecodePath) {
   Grammar::cloneActiveRules(G2, GRef);
   ItemSetGraph Ref(GRef);
   EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
+}
+
+TEST(SnapshotV2, ReverseInternedGrammarAdoptsWithRemappedIds) {
+  // The live grammar interns every symbol, then every rule, in the reverse
+  // of the snapshot grammar's order, so no id coincides: the load must
+  // rewrite the ids in the private mapping and re-sort every kernel (rule
+  // order) and live edge span (label order) — a skipped re-sort leaves
+  // them out of order and the validation sweep rejects the load.
+  SnapshotFile File("snapv2_reversed.bin");
+  Grammar G;
+  buildArith(G);
+  Ipg Gen(G);
+  size_t States = Gen.generateAll();
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
+  const std::vector<uint8_t> OnDisk = fileBytes(File.path());
+
+  Grammar G2;
+  for (SymbolId Sym = static_cast<SymbolId>(G.symbols().size()); Sym-- > 0;)
+    G2.symbols().intern(G.symbols().name(Sym));
+  std::vector<RuleId> Rules = G.activeRules();
+  GrammarBuilder B(G2);
+  for (auto It = Rules.rbegin(); It != Rules.rend(); ++It) {
+    std::vector<std::string> Rhs;
+    for (SymbolId Sym : G.rule(*It).Rhs)
+      Rhs.emplace_back(G.symbols().name(Sym));
+    B.rule(G.symbols().name(G.rule(*It).Lhs), Rhs);
+  }
+  ASSERT_EQ(grammarFingerprint(G2), grammarFingerprint(G));
+  ASSERT_NE(grammarLayoutFingerprint(G2), grammarLayoutFingerprint(G));
+  ASSERT_NE(G2.symbols().lookup("+"), G.symbols().lookup("+"));
+  ASSERT_NE(G2.findRule(G2.symbols().lookup("E"), {G2.symbols().lookup("T")}),
+            G.findRule(G.symbols().lookup("E"), {G.symbols().lookup("T")}));
+
+  Ipg Loaded(G2);
+  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_TRUE(R->FingerprintMatched);
+  EXPECT_EQ(R->StatesLoaded, States);
+  EXPECT_GT(Loaded.graph().numAdoptedSets(), 0u);
+  EXPECT_EQ(fileBytes(File.path()), OnDisk)
+      << "the id rewrite must stay in the private mapping";
+
+  verifyIndexEquivalence(Loaded.graph());
+  EXPECT_TRUE(Loaded.recognize(sentence(G2, "( id + id ) * id")));
+  EXPECT_FALSE(Loaded.recognize(sentence(G2, "id + * id")));
+  Grammar GRef;
+  Grammar::cloneActiveRules(G2, GRef);
+  ItemSetGraph Ref(GRef);
+  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
+}
+
+TEST(SnapshotV2, StaleLoadRejectsDuplicateKernels) {
+  // Two live sets sharing one kernel, with valid checksums: the matched
+  // path adopts without a kernel index (core/Snapshot.h trust model), but
+  // the remapped path builds the index and must reject the collision.
+  SnapshotFile File("snapv2_dupkernel.bin");
+  Grammar G;
+  buildArith(G);
+  Ipg Gen(G);
+  Gen.generateAll();
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
+  std::vector<uint8_t> Bad = fileBytes(File.path());
+  ASSERT_EQ(Bad[setRecordOffset(Bad, 1) + 4], 1u) << "set 1 must be Complete";
+  ASSERT_EQ(Bad[setRecordOffset(Bad, 2) + 4], 1u) << "set 2 must be Complete";
+  // KernelOff/KernelLen sit at record offset 12.
+  std::copy_n(Bad.begin() + static_cast<std::ptrdiff_t>(
+                                setRecordOffset(Bad, 1) + 12),
+              8,
+              Bad.begin() + static_cast<std::ptrdiff_t>(
+                                setRecordOffset(Bad, 2) + 12));
+  resealV2(Bad);
+  SnapshotFile BadFile("snapv2_dupkernel_bad.bin");
+  writeBytesToFile(BadFile.path(), Bad);
+
+  Grammar G2;
+  buildArithWithNeg(G2);
+  Ipg Loaded(G2);
+  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(BadFile.path());
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().Message.find("duplicate kernel"), std::string::npos)
+      << R.error().str();
+  EXPECT_EQ(Loaded.graph().numAdoptedSets(), 0u);
+  EXPECT_TRUE(Loaded.recognize(sentence(G2, "neg id + id")));
+  Grammar GRef;
+  Grammar::cloneActiveRules(G2, GRef);
+  ItemSetGraph Ref(GRef);
+  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
+}
+
+TEST(SnapshotV2, StaleLoadRejectsOutOfRangeIdsAndPayloadCorruption) {
+  SnapshotFile File("snapv2_stale_bad.bin");
+  Grammar G;
+  buildArith(G);
+  Ipg Gen(G);
+  Gen.generateAll();
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
+  const std::vector<uint8_t> Pristine = fileBytes(File.path());
+  const size_t Grph = grphOffset(Pristine);
+  // Section offsets 88 and 112: OffKernelItems and OffActionLabels.
+  const size_t FirstKernelRule =
+      Grph + static_cast<size_t>(readLe(Pristine, Grph + 88, 8));
+  const size_t FirstLabel =
+      Grph + static_cast<size_t>(readLe(Pristine, Grph + 112, 8));
+
+  auto ExpectStaleLoadFails = [&](const std::vector<uint8_t> &Bytes,
+                                  const char *Cause) {
+    SnapshotFile BadFile("snapv2_stale_bad_copy.bin");
+    writeBytesToFile(BadFile.path(), Bytes);
+    Grammar G2;
+    buildArithWithNeg(G2);
+    Ipg Loaded(G2);
+    Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(BadFile.path());
+    ASSERT_FALSE(R) << Cause;
+    EXPECT_NE(R.error().Message.find(Cause), std::string::npos)
+        << R.error().str();
+    EXPECT_TRUE(Loaded.recognize(sentence(G2, "neg id * id")));
+    EXPECT_FALSE(Loaded.recognize(sentence(G2, "id neg")));
+  };
+
+  std::vector<uint8_t> Bad = Pristine;
+  writeLe32(Bad, FirstKernelRule, 0x00FFFFFFu);
+  resealV2(Bad);
+  ExpectStaleLoadFails(Bad, "unknown rule");
+
+  Bad = Pristine;
+  writeLe32(Bad, FirstLabel, 0x00FFFFFFu);
+  resealV2(Bad);
+  ExpectStaleLoadFails(Bad, "unknown symbol");
+
+  Bad = Pristine;
+  Bad[FirstLabel] ^= 0x40; // Not resealed: the payload checksum fires.
+  ExpectStaleLoadFails(Bad, "checksum mismatch");
 }
 
 TEST(SnapshotV2, EpsilonRulesAndEmptyPoolsRoundTrip) {
@@ -604,8 +764,6 @@ TEST(SnapshotV2, RejectsMisalignedSections) {
   // contract: the typed-array bounds/alignment gate must reject it
   // (moving the offset by 4 also makes its content garbage — either
   // validation layer may fire, but the load must fail cleanly).
-  if (!GraphSnapshot::hostCanAdoptV2())
-    GTEST_SKIP() << "alignment gate sits on the adoption path";
   SnapshotFile File("snapv2_misalign.bin");
   Grammar G;
   buildArith(G);
@@ -732,9 +890,7 @@ TEST(SnapshotV2, GoldenV2SnapshotStillLoads) {
                     "released snapshots; if the golden grammar drifted, "
                     "restore buildGoldenGrammar";
   EXPECT_TRUE(R->FingerprintMatched);
-  if (GraphSnapshot::hostCanAdoptV2()) {
-    EXPECT_GT(countBorrowed(Gen.graph()), 0u) << "golden must be adopted";
-  }
+  EXPECT_GT(countBorrowed(Gen.graph()), 0u) << "golden must be adopted";
 
   SnapshotFile Resaved("snapv2_golden_resaved.bin");
   ASSERT_TRUE(Gen.saveSnapshot(Resaved.path()));
@@ -761,79 +917,3 @@ TEST(SnapshotV2, DISABLED_RegenerateGoldenV2) {
   ASSERT_TRUE(Written) << Written.error().str();
   std::printf("wrote %zu bytes to %s\n", *Written, goldenV2Path().c_str());
 }
-
-//===----------------------------------------------------------------------===//
-// Property sweep over the seeded random grammars
-//===----------------------------------------------------------------------===//
-
-class SnapshotV2RoundTripTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(SnapshotV2RoundTripTest, RoundTripIsParseEquivalentAndDeterministic) {
-  SnapshotFile File("snapv2_sweep_" + std::to_string(GetParam()) + ".bin");
-  Grammar G;
-  RandomGrammarCase Case = buildRandomGrammar(G, GetParam());
-  Ipg Gen(G);
-  for (const std::vector<SymbolId> &S : Case.Positive)
-    EXPECT_TRUE(Gen.recognize(S));
-  ItemSetGraphStats Before = Gen.stats();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
-
-  Grammar G2;
-  Grammar::cloneActiveRules(G, G2);
-  Ipg Loaded(G2);
-  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
-  ASSERT_TRUE(R) << R.error().str();
-  EXPECT_TRUE(R->FingerprintMatched);
-  EXPECT_EQ(R->StatesLoaded, Gen.graph().numLive());
-  EXPECT_EQ(Loaded.stats().Expansions, Before.Expansions);
-  EXPECT_EQ(Loaded.stats().ClosureItems, Before.ClosureItems);
-
-  SnapshotFile Again("snapv2_sweep_again_" + std::to_string(GetParam()) +
-                     ".bin");
-  ASSERT_TRUE(Loaded.saveSnapshot(Again.path()));
-  EXPECT_EQ(fileBytes(File.path()), fileBytes(Again.path()));
-
-  for (const std::vector<SymbolId> &S : Case.Positive)
-    EXPECT_TRUE(Loaded.recognize(S));
-  for (const std::vector<SymbolId> &S : Case.Mutated) {
-    Grammar GRef;
-    Grammar::cloneActiveRules(G, GRef);
-    Ipg Ref(GRef);
-    EXPECT_EQ(Loaded.recognize(S), Ref.recognize(S));
-  }
-  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Gen.graph()));
-}
-
-TEST_P(SnapshotV2RoundTripTest, StaleRepairMatchesFromScratchGeneration) {
-  SnapshotFile File("snapv2_sweep_stale_" + std::to_string(GetParam()) +
-                    ".bin");
-  Grammar G;
-  RandomGrammarCase Case = buildRandomGrammar(G, GetParam());
-  Ipg Gen(G);
-  Gen.generateAll();
-  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
-
-  Grammar G2;
-  Grammar::cloneActiveRules(G, G2);
-  std::vector<RuleId> Active = G2.activeRules();
-  const Rule &Template = G2.rule(Active[GetParam() % Active.size()]);
-  SymbolId Lhs = Template.Lhs;
-  G2.addRule(Lhs, {G2.symbols().intern("snapnew")});
-  Ipg Loaded(G2);
-  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
-  ASSERT_TRUE(R) << R.error().str();
-  EXPECT_FALSE(R->FingerprintMatched);
-  EXPECT_EQ(R->RulesAdded, 1u);
-  EXPECT_EQ(R->RulesRemoved, 0u);
-
-  for (const std::vector<SymbolId> &S : Case.Positive)
-    EXPECT_TRUE(Loaded.recognize(S));
-
-  Grammar GRef;
-  Grammar::cloneActiveRules(G2, GRef);
-  ItemSetGraph Ref(GRef);
-  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotV2RoundTripTest,
-                         ::testing::Range<uint64_t>(1, 26));

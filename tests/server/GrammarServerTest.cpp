@@ -141,15 +141,13 @@ TEST(GrammarServer, ForkAdoptsPredecessorZeroCopy) {
   ASSERT_GT(Before, 0u);
 
   ASSERT_TRUE(Server.addRule("B", {"B", "xor", "B"}));
-  EXPECT_EQ(Server.lastForkAdopted(), GraphSnapshot::hostCanAdoptV2());
+  EXPECT_TRUE(Server.lastForkAdopted());
 
-  // On adopting hosts the successor's pools read through the fork buffer:
-  // the §6 repair appends into the grow segments, so the adopted base
-  // (and its backing mapping) stays installed.
+  // The successor's pools read through the fork buffer: the §6 repair
+  // appends into the grow segments, so the adopted base (and its backing
+  // mapping) stays installed.
   std::shared_ptr<GraphEpoch> Cur = Server.epoch();
-  if (GraphSnapshot::hostCanAdoptV2()) {
-    EXPECT_GT(Cur->graph().numAdoptedSets(), 0u);
-  }
+  EXPECT_GT(Cur->graph().numAdoptedSets(), 0u);
 
   // The carried-over graph still parses the old language, and the fork
   // carried the predecessor's stats forward (saveV2 persists them).
