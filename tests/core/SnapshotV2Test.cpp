@@ -917,3 +917,79 @@ TEST(SnapshotV2, DISABLED_RegenerateGoldenV2) {
   ASSERT_TRUE(Written) << Written.error().str();
   std::printf("wrote %zu bytes to %s\n", *Written, goldenV2Path().c_str());
 }
+
+//===----------------------------------------------------------------------===//
+// Property sweep over the seeded random grammars
+//===----------------------------------------------------------------------===//
+
+class SnapshotV2RoundTripTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SnapshotV2RoundTripTest, RoundTripIsParseEquivalentAndDeterministic) {
+  SnapshotFile File("snapv2_sweep_" + std::to_string(GetParam()) + ".bin");
+  Grammar G;
+  RandomGrammarCase Case = buildRandomGrammar(G, GetParam());
+  Ipg Gen(G);
+  for (const std::vector<SymbolId> &S : Case.Positive)
+    EXPECT_TRUE(Gen.recognize(S));
+  ItemSetGraphStats Before = Gen.stats();
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
+
+  Grammar G2;
+  Grammar::cloneActiveRules(G, G2);
+  Ipg Loaded(G2);
+  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_TRUE(R->FingerprintMatched);
+  EXPECT_EQ(R->StatesLoaded, Gen.graph().numLive());
+  EXPECT_EQ(Loaded.stats().Expansions, Before.Expansions);
+  EXPECT_EQ(Loaded.stats().ClosureItems, Before.ClosureItems);
+
+  SnapshotFile Again("snapv2_sweep_again_" + std::to_string(GetParam()) +
+                     ".bin");
+  ASSERT_TRUE(Loaded.saveSnapshot(Again.path()));
+  EXPECT_EQ(fileBytes(File.path()), fileBytes(Again.path()));
+
+  for (const std::vector<SymbolId> &S : Case.Positive)
+    EXPECT_TRUE(Loaded.recognize(S));
+  for (const std::vector<SymbolId> &S : Case.Mutated) {
+    Grammar GRef;
+    Grammar::cloneActiveRules(G, GRef);
+    Ipg Ref(GRef);
+    EXPECT_EQ(Loaded.recognize(S), Ref.recognize(S));
+  }
+  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Gen.graph()));
+}
+
+TEST_P(SnapshotV2RoundTripTest, StaleRepairMatchesFromScratchGeneration) {
+  SnapshotFile File("snapv2_sweep_stale_" + std::to_string(GetParam()) +
+                    ".bin");
+  Grammar G;
+  RandomGrammarCase Case = buildRandomGrammar(G, GetParam());
+  Ipg Gen(G);
+  Gen.generateAll();
+  ASSERT_TRUE(Gen.saveSnapshot(File.path()));
+
+  Grammar G2;
+  Grammar::cloneActiveRules(G, G2);
+  std::vector<RuleId> Active = G2.activeRules();
+  const Rule &Template = G2.rule(Active[GetParam() % Active.size()]);
+  SymbolId Lhs = Template.Lhs;
+  G2.addRule(Lhs, {G2.symbols().intern("snapnew")});
+  Ipg Loaded(G2);
+  Expected<SnapshotLoadResult> R = Loaded.loadSnapshot(File.path());
+  ASSERT_TRUE(R) << R.error().str();
+  EXPECT_FALSE(R->FingerprintMatched);
+  EXPECT_EQ(R->RulesAdded, 1u);
+  EXPECT_EQ(R->RulesRemoved, 0u);
+
+  for (const std::vector<SymbolId> &S : Case.Positive)
+    EXPECT_TRUE(Loaded.recognize(S));
+
+  Grammar GRef;
+  Grammar::cloneActiveRules(G2, GRef);
+  ItemSetGraph Ref(GRef);
+  EXPECT_EQ(canonicalize(Loaded.graph()), canonicalize(Ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotV2RoundTripTest,
+                         ::testing::Range<uint64_t>(1, 26));
