@@ -214,32 +214,50 @@ struct PhaseStats {
   SampleStats Construct, Parse1, Parse2, Modify, Parse3, Parse4, Total;
 };
 
-PhaseStats samplePhases(PhaseTimes (*Run)(const Workload &),
-                        const Workload &W, int Reps) {
-  Run(W); // Warmup: fault in code and allocator state.
-  std::vector<PhaseTimes> Samples;
-  Samples.reserve(Reps);
+/// A scenario's total read from its per-phase minima over the replays:
+/// host noise only ever adds time, so each phase contributes the replay
+/// least disturbed by it.
+double minTotal(const PhaseStats &S) {
+  return S.Construct.Min + S.Parse1.Min + S.Parse2.Min + S.Modify.Min +
+         S.Parse3.Min + S.Parse4.Min;
+}
+
+using ScenarioFn = PhaseTimes (*)(const Workload &);
+
+/// Samples every scenario in \p Runs \p Reps times, round-robin: each
+/// replay runs all of them back to back, so a noisy stretch of the host
+/// lands on every generator instead of on whichever one it happened to
+/// be timing. Returns one PhaseStats per scenario, in order.
+std::vector<PhaseStats> samplePhases(const std::vector<ScenarioFn> &Runs,
+                                     const Workload &W, int Reps) {
+  for (ScenarioFn Run : Runs)
+    Run(W); // Warmup: fault in code and allocator state.
+  std::vector<std::vector<PhaseTimes>> Samples(Runs.size());
   for (int I = 0; I < Reps; ++I)
-    Samples.push_back(Run(W));
-  auto StatsOf = [&](double PhaseTimes::*Member) {
-    std::vector<double> Values;
-    Values.reserve(Samples.size());
-    for (const PhaseTimes &S : Samples)
-      Values.push_back(S.*Member);
-    return SampleStats::of(std::move(Values));
-  };
-  PhaseStats Result;
-  Result.Construct = StatsOf(&PhaseTimes::Construct);
-  Result.Parse1 = StatsOf(&PhaseTimes::Parse1);
-  Result.Parse2 = StatsOf(&PhaseTimes::Parse2);
-  Result.Modify = StatsOf(&PhaseTimes::Modify);
-  Result.Parse3 = StatsOf(&PhaseTimes::Parse3);
-  Result.Parse4 = StatsOf(&PhaseTimes::Parse4);
-  std::vector<double> Totals;
-  Totals.reserve(Samples.size());
-  for (const PhaseTimes &S : Samples)
-    Totals.push_back(S.total());
-  Result.Total = SampleStats::of(std::move(Totals));
+    for (size_t K = 0; K < Runs.size(); ++K)
+      Samples[K].push_back(Runs[K](W));
+  std::vector<PhaseStats> Result(Runs.size());
+  for (size_t K = 0; K < Runs.size(); ++K) {
+    auto StatsOf = [&](double PhaseTimes::*Member) {
+      std::vector<double> Values;
+      Values.reserve(Samples[K].size());
+      for (const PhaseTimes &S : Samples[K])
+        Values.push_back(S.*Member);
+      return SampleStats::of(std::move(Values));
+    };
+    PhaseStats &R = Result[K];
+    R.Construct = StatsOf(&PhaseTimes::Construct);
+    R.Parse1 = StatsOf(&PhaseTimes::Parse1);
+    R.Parse2 = StatsOf(&PhaseTimes::Parse2);
+    R.Modify = StatsOf(&PhaseTimes::Modify);
+    R.Parse3 = StatsOf(&PhaseTimes::Parse3);
+    R.Parse4 = StatsOf(&PhaseTimes::Parse4);
+    std::vector<double> Totals;
+    Totals.reserve(Samples[K].size());
+    for (const PhaseTimes &S : Samples[K])
+      Totals.push_back(S.total());
+    R.Total = SampleStats::of(std::move(Totals));
+  }
   return Result;
 }
 
@@ -276,10 +294,14 @@ void runSection(BenchHarness &H, const char *Title, const std::string &Key,
   size_t NumTokens = tokenize(CountG, W.InputText).size();
   std::printf("== %s (%zu tokens) ==\n", Title, NumTokens);
 
-  int Reps = H.reps(Repetitions);
-  PhaseStats Yacc = samplePhases(runYacc, W, Reps);
-  PhaseStats Pg = samplePhases(runPg, W, Reps);
-  PhaseStats Ipg = samplePhases(runIpg, W, Reps);
+  // Every replay count, reduced passes included: the shape checks below
+  // compare timings between generators, and a minimum over three replays
+  // still lets one noisy stretch decide them. A full section costs well
+  // under a second.
+  const int Reps = Repetitions;
+  std::vector<PhaseStats> Sampled =
+      samplePhases({runYacc, runPg, runIpg}, W, Reps);
+  const PhaseStats &Yacc = Sampled[0], &Pg = Sampled[1], &Ipg = Sampled[2];
   IpgWork Work = measureIpgWork(W);
 
   TextTable Table({"phase", "Yacc", "PG", "IPG"});
@@ -342,16 +364,18 @@ void runSection(BenchHarness &H, const char *Title, const std::string &Key,
           "after MODIFY only re-expansions repair the table (§6)");
   // The ground truth for §5's claim is the expansion counter above; the
   // timing check carries a generous noise band (sub-millisecond parses
-  // on a ~100-state table jitter by tens of percent).
-  H.check(Ipg.Parse2.Median <= Ipg.Parse1.Median * 1.4,
+  // on a ~100-state table jitter by tens of percent). This check and the
+  // totals below compare per-phase minima over the replays (minTotal),
+  // which a noisy stretch of the host moves far less than a median.
+  H.check(Ipg.Parse2.Min <= Ipg.Parse1.Min * 1.4,
           "IPG second parse is not slower (within timing noise)");
   H.check(Yacc.Parse2.Median <= Pg.Parse2.Median,
           "deterministic Yacc parser is at least as fast as the Tomita "
           "parser");
   // On the plain SDF grammar parsing dominates both totals, so IPG's
   // generation savings show as near-parity; the scaled section shows the
-  // decisive win. Allow the noise band of sub-ms parse medians here.
-  H.check(Ipg.Total.Median <= Pg.Total.Median * 1.2,
+  // decisive win. Allow the noise band of sub-ms parses here.
+  H.check(minTotal(Ipg) <= minTotal(Pg) * 1.2,
           "lazy+incremental is never beaten by conventional generation "
           "within the Tomita family");
   if (Scaled) {

@@ -49,13 +49,13 @@ void printForest(const ForestNode *Node, const Grammar &G, int Depth,
                         .c_str()
                   : "");
   Stack.push_back(Node);
-  for (size_t A = 0; A < Node->Alts.size(); ++A) {
+  size_t A = 0;
+  for (const ForestNode::Alternative &Alt : Node->Alts) {
     if (Node->isAmbiguous()) {
       Indent();
-      std::printf("  alt %zu (%s):\n", A + 1,
-                  G.ruleToString(Node->Alts[A].Rule).c_str());
+      std::printf("  alt %zu (%s):\n", ++A, G.ruleToString(Alt.Rule).c_str());
     }
-    for (const ForestNode *Child : Node->Alts[A].Children)
+    for (const ForestNode *Child : Alt.Children)
       printForest(Child, G, Depth + 1 + (Node->isAmbiguous() ? 1 : 0), Stack);
   }
   Stack.pop_back();

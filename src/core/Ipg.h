@@ -110,6 +110,14 @@ public:
   /// unchanged up to version counts and interned-but-inactive rules).
   Expected<SnapshotLoadResult> loadSnapshot(const std::string &Path);
 
+  /// As above, also copying the file's first extra section tagged
+  /// \p ExtraTag into \p Extra, out of the same mapping. Such a load
+  /// verifies the payload checksum once, before the graph is touched, and
+  /// fails when the file has no such section.
+  Expected<SnapshotLoadResult> loadSnapshot(const std::string &Path,
+                                            uint32_t ExtraTag,
+                                            std::vector<uint8_t> &Extra);
+
   /// Fraction of the full table that has been generated so far: live
   /// complete sets over the size of a freshly generated full table for the
   /// current grammar (computed against a cloned grammar, so the receiver's

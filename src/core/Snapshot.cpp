@@ -219,12 +219,43 @@ bool payloadIntact(const uint8_t *Data, size_t Size, const V2Header &H) {
          H.PayloadChk;
 }
 
+/// Copies the first extra section tagged \p Tag out of a v2 file whose
+/// header \p H has been checked. Walks the 8-aligned frames behind GRPH;
+/// unknown tags are skipped — coexisting riders from newer writers are
+/// expected, not errors.
+Expected<std::vector<uint8_t>> extraSection(const uint8_t *Data, size_t Size,
+                                            const V2Header &H, uint32_t Tag) {
+  FlatView File(Data, Size);
+  uint64_t Off = (H.GrphOff + H.GrphLen + 7) & ~uint64_t(7);
+  while (Off + 16 <= Size) {
+    Expected<uint32_t> FrameTag = File.u32At(static_cast<size_t>(Off));
+    Expected<uint64_t> FrameLen = File.u64At(static_cast<size_t>(Off) + 8);
+    if (!FrameTag || !FrameLen)
+      return Error("snapshot extra section out of bounds");
+    if (*FrameLen > Size - Off - 16)
+      return Error("snapshot extra section out of bounds");
+    if (*FrameTag == Tag)
+      return std::vector<uint8_t>(Data + Off + 16,
+                                  Data + Off + 16 + *FrameLen);
+    Off = (Off + 16 + *FrameLen + 7) & ~uint64_t(7);
+  }
+  return Error("snapshot has no such extra section");
+}
+
+/// An extra section a load should read along with the graph.
+struct ExtraRequest {
+  uint32_t Tag;
+  std::vector<uint8_t> &Bytes;
+};
+
 /// The v2 container: flat sections behind a header checksum (fast path)
-/// and a payload checksum (stale path). Takes the mapping by shared_ptr
-/// because adoption hands it to the graph.
+/// and a payload checksum (stale path, and any load that reads an extra
+/// section). Takes the mapping by shared_ptr because adoption hands it to
+/// the graph.
 Expected<SnapshotLoadResult>
 loadV2Container(Grammar &G, ItemSetGraph &Graph,
-                std::shared_ptr<MappedFile> Mapping) {
+                std::shared_ptr<MappedFile> Mapping,
+                const ExtraRequest *Extra) {
   uint8_t *Data = Mapping->data();
   const size_t Size = Mapping->size();
   Expected<V2Header> Header = parseV2Header(Data, Size);
@@ -241,6 +272,23 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
   if (*GrphLayout != GraphSnapshot::FlatArenaLayout)
     return Error("snapshot graph section predates the flat-arena layout and "
                  "is no longer supported; regenerate the snapshot");
+
+  // An extra section (a suspended parse) is a one-shot artifact, not a
+  // hot cache: whole-file integrity up front is cheap relative to the
+  // resume it gates. It is checked, and the section copied out, before
+  // the graph is touched — the stale path below rewrites GRPH in the
+  // mapping, after which the payload no longer hashes to its checksum.
+  bool PayloadChecked = false;
+  if (Extra) {
+    if (!payloadIntact(Data, Size, H))
+      return Error("snapshot payload corrupted (checksum mismatch)");
+    PayloadChecked = true;
+    Expected<std::vector<uint8_t>> Bytes =
+        extraSection(Data, Size, H, Extra->Tag);
+    if (!Bytes)
+      return Bytes.error();
+    Extra->Bytes = Bytes.take();
+  }
 
   // Warm-start fast path: layout match means identity ids, so the GRPH
   // section is adopted straight out of the mapping — no GRAM decode, no
@@ -268,7 +316,7 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
   IPG_TRACE_SPAN(Sp, "snap.load.v2_remap");
   ScopedLatency Lat(SnapMetrics::get().LoadV2RemapLatency);
   SnapMetrics::get().V2Remapped.bump();
-  if (!payloadIntact(Data, Size, H))
+  if (!PayloadChecked && !payloadIntact(Data, Size, H))
     return Error("snapshot payload corrupted (checksum mismatch)");
   Expected<GrammarSnapshot> Snap = readGrammarSnapshotV2(
       FlatView(Data + H.GramOff, static_cast<size_t>(H.GramLen)));
@@ -276,6 +324,32 @@ loadV2Container(Grammar &G, ItemSetGraph &Graph,
     return Snap.error();
   return remapAndRepair(G, Graph, *Snap, H.Fingerprint, Grph, GrphLen,
                         std::move(Mapping));
+}
+
+/// Ipg::loadSnapshot, reading \p Extra's section too when it is given.
+Expected<SnapshotLoadResult> loadSnapshotFile(ItemSetGraph &Graph,
+                                              const std::string &Path,
+                                              const ExtraRequest *Extra) {
+  // One private mapping, which the graph borrows (MappedFile's heap
+  // fallback keeps the contract on mmap-less hosts).
+  Expected<MappedFile> MapOrErr = MappedFile::open(Path);
+  if (!MapOrErr)
+    return MapOrErr.error();
+  auto Mapping = std::make_shared<MappedFile>(MapOrErr.take());
+  const uint8_t *Data = Mapping->data();
+  const size_t Size = Mapping->size();
+  Grammar &G = Graph.grammar();
+
+  const size_t MagicLen = std::strlen(SnapshotMagicV2);
+  if (Size >= MagicLen && std::memcmp(Data, SnapshotMagicV2, MagicLen) == 0)
+    return loadV2Container(G, Graph, std::move(Mapping), Extra);
+  if (Size >= MagicLen && std::memcmp(Data, "ipg-snap-v1", MagicLen) == 0)
+    return Error("ipg-snap-v1 snapshots are no longer supported; regenerate "
+                 "the snapshot");
+  if (Size >= MagicLen - 1 &&
+      std::memcmp(Data, SnapshotMagicV2, MagicLen - 1) == 0)
+    return Error("unsupported snapshot version (expected ipg-snap-v2)");
+  return Error("not an ipg snapshot (bad magic)");
 }
 
 } // namespace
@@ -343,62 +417,12 @@ Ipg::saveSnapshot(const std::string &Path,
 }
 
 Expected<SnapshotLoadResult> Ipg::loadSnapshot(const std::string &Path) {
-  // One private mapping, which the graph borrows (MappedFile's heap
-  // fallback keeps the contract on mmap-less hosts).
-  Expected<MappedFile> MapOrErr = MappedFile::open(Path);
-  if (!MapOrErr)
-    return MapOrErr.error();
-  auto Mapping = std::make_shared<MappedFile>(MapOrErr.take());
-  const uint8_t *Data = Mapping->data();
-  const size_t Size = Mapping->size();
-  Grammar &G = Graph.grammar();
-
-  const size_t MagicLen = std::strlen(SnapshotMagicV2);
-  if (Size >= MagicLen && std::memcmp(Data, SnapshotMagicV2, MagicLen) == 0)
-    return loadV2Container(G, Graph, std::move(Mapping));
-  if (Size >= MagicLen && std::memcmp(Data, "ipg-snap-v1", MagicLen) == 0)
-    return Error("ipg-snap-v1 snapshots are no longer supported; regenerate "
-                 "the snapshot");
-  if (Size >= MagicLen - 1 &&
-      std::memcmp(Data, SnapshotMagicV2, MagicLen - 1) == 0)
-    return Error("unsupported snapshot version (expected ipg-snap-v2)");
-  return Error("not an ipg snapshot (bad magic)");
+  return loadSnapshotFile(Graph, Path, nullptr);
 }
 
-Expected<std::vector<uint8_t>>
-ipg::readSnapshotExtraSection(const std::string &Path, uint32_t Tag) {
-  Expected<MappedFile> MapOrErr = MappedFile::open(Path);
-  if (!MapOrErr)
-    return MapOrErr.error();
-  MappedFile Mapping = MapOrErr.take();
-  const uint8_t *Data = Mapping.data();
-  const size_t Size = Mapping.size();
-  const size_t MagicLen = std::strlen(SnapshotMagicV2);
-  if (Size < MagicLen || std::memcmp(Data, SnapshotMagicV2, MagicLen) != 0)
-    return Error("not an ipg-snap-v2 snapshot (extra sections are v2-only)");
-  Expected<V2Header> Header = parseV2Header(Data, Size);
-  if (!Header)
-    return Header.error();
-  // A suspended parse is a one-shot artifact, not a hot cache: whole-file
-  // integrity up front is cheap relative to the resume it gates.
-  if (!payloadIntact(Data, Size, *Header))
-    return Error("snapshot payload corrupted (checksum mismatch)");
-
-  // Walk the 8-aligned extra frames behind GRPH. Unknown tags are skipped
-  // — coexisting riders from newer writers are expected, not errors.
-  FlatView File(Data, Size);
-  uint64_t Off = (Header->GrphOff + Header->GrphLen + 7) & ~uint64_t(7);
-  while (Off + 16 <= Size) {
-    Expected<uint32_t> FrameTag = File.u32At(static_cast<size_t>(Off));
-    Expected<uint64_t> FrameLen = File.u64At(static_cast<size_t>(Off) + 8);
-    if (!FrameTag || !FrameLen)
-      return Error("snapshot extra section out of bounds");
-    if (*FrameLen > Size - Off - 16)
-      return Error("snapshot extra section out of bounds");
-    if (*FrameTag == Tag)
-      return std::vector<uint8_t>(Data + Off + 16,
-                                  Data + Off + 16 + *FrameLen);
-    Off = (Off + 16 + *FrameLen + 7) & ~uint64_t(7);
-  }
-  return Error("snapshot has no such extra section");
+Expected<SnapshotLoadResult>
+Ipg::loadSnapshot(const std::string &Path, uint32_t ExtraTag,
+                  std::vector<uint8_t> &Extra) {
+  ExtraRequest Request{ExtraTag, Extra};
+  return loadSnapshotFile(Graph, Path, &Request);
 }

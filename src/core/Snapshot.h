@@ -90,14 +90,6 @@ struct SnapshotExtraSection {
   std::vector<uint8_t> Bytes;
 };
 
-/// Reads the first extra section tagged \p Tag out of the v2 snapshot at
-/// \p Path, after validating the header checksum and the payload checksum
-/// (extras are loaded rarely and whole-file integrity is cheap insurance
-/// against a truncated or bit-flipped suspended parse). Errors when the
-/// file is not v2, is corrupted, or has no such section.
-Expected<std::vector<uint8_t>>
-readSnapshotExtraSection(const std::string &Path, uint32_t Tag);
-
 /// What Ipg::loadSnapshot did.
 struct SnapshotLoadResult {
   /// The snapshot's active rule set equals the live grammar's — no repair

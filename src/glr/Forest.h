@@ -8,8 +8,28 @@
 /// spans is exactly that improvement, and the ablation bench can disable it
 /// to reproduce the unshared behaviour.
 ///
+/// Storage follows the parse side's pool discipline (support/ChunkPool.h):
+/// nodes, alternatives and child lists live in forest-owned chunks that
+/// never move, so a parse allocates O(log n) times, not per node. Each
+/// node carries a dense creation index (ForestNode::Id), which keys the
+/// walks' memo tables. A node's alternatives form a list in insertion
+/// order; an alternative's children are one contiguous span.
+///
+/// The packing index is one open-addressed table keyed by (symbol, start,
+/// end, is-token). Entries with the same key stay in insertion order, and
+/// a lookup returns the *first valid* hit (see beginEpoch): the graft and
+/// the suspended-parse decoder rely on that order to find the node they
+/// published first. A lookup erases every invalid entry it meets with a
+/// matching key hash. Invalidity is permanent — the epoch only grows and
+/// the watermark only shrinks — so such an entry could never be returned
+/// again, and erasing it keeps an edited document's lookups from walking
+/// its edit history.
+///
 /// Cyclic grammars (A ⇒+ A) produce cyclic forests; the counting and
-/// extraction helpers saturate/skip cycles instead of diverging.
+/// extraction helpers saturate/skip cycles instead of diverging. They run
+/// on explicit stacks, so forest depth is bounded by memory, not by the
+/// thread's stack, and each call costs time and memory in the nodes it
+/// reaches, not in the nodes the forest ever made.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,12 +37,11 @@
 #define IPG_GLR_FOREST_H
 
 #include "grammar/Tree.h"
-#include "support/Hashing.h"
+#include "support/ArrayView.h"
+#include "support/ChunkPool.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 namespace ipg {
@@ -40,12 +59,47 @@ struct ForestNode {
   /// never-edited forest.
   uint32_t Epoch = 0;
 
+  /// Dense creation index within the owning forest: 0, 1, 2, ... in
+  /// creation order.
+  uint32_t Id = 0;
+
   /// One derivation: a rule and one child per right-hand-side symbol.
   struct Alternative {
     RuleId Rule;
-    std::vector<ForestNode *> Children;
+    ArrayView<ForestNode *> Children;
+    Alternative *Next = nullptr;
   };
-  std::vector<Alternative> Alts;
+
+  /// The node's alternatives in insertion order (a forward list threaded
+  /// through the forest's alternative pool).
+  class AltList {
+  public:
+    class iterator {
+    public:
+      explicit iterator(const Alternative *A) : A(A) {}
+      const Alternative &operator*() const { return *A; }
+      iterator &operator++() {
+        A = A->Next;
+        return *this;
+      }
+      bool operator!=(const iterator &O) const { return A != O.A; }
+
+    private:
+      const Alternative *A;
+    };
+    iterator begin() const { return iterator(Head); }
+    iterator end() const { return iterator(nullptr); }
+    size_t size() const { return Count; }
+    bool empty() const { return Count == 0; }
+    const Alternative *first() const { return Head; }
+
+  private:
+    friend class Forest;
+    Alternative *Head = nullptr;
+    Alternative *Tail = nullptr;
+    uint32_t Count = 0;
+  };
+  AltList Alts;
 
   bool isAmbiguous() const { return Alts.size() > 1; }
 };
@@ -57,6 +111,10 @@ public:
   /// mode for the sharing ablation.
   explicit Forest(bool PackNodes = true) : PackNodes(PackNodes) {}
 
+  /// Forgets every node (pointers into the forest die) and keeps the
+  /// pools' storage for the next parse. The packing mode is kept.
+  void clear();
+
   /// The (unique) token node for input position \p Index.
   ForestNode *token(SymbolId Sym, uint32_t Index);
 
@@ -66,7 +124,7 @@ public:
   /// Adds a derivation unless an identical one is already packed.
   /// Returns true if the alternative was new.
   bool addAlternative(ForestNode *Node, RuleId Rule,
-                      std::vector<ForestNode *> Children);
+                      const std::vector<ForestNode *> &Children);
 
   /// Records one derivation and returns its node. With packing this is
   /// nonterminal() + addAlternative() — one node per span holding every
@@ -77,7 +135,8 @@ public:
   /// Unpacked forests of cyclic grammars would be infinite; the unshared
   /// mode is for the sharing ablation on acyclic grammars only.
   ForestNode *derivation(SymbolId Sym, uint32_t Start, uint32_t End,
-                         RuleId Rule, const std::vector<ForestNode *> &Children);
+                         RuleId Rule,
+                         const std::vector<ForestNode *> &Children);
 
   size_t numNodes() const { return Nodes.size(); }
   size_t numAlternatives() const { return TotalAlternatives; }
@@ -132,19 +191,43 @@ public:
   /// the current epoch) so subsequent derivations pack onto it.
   void indexRestored(ForestNode *Node);
 
-  /// All nodes ever made, in creation order (serialization walk).
-  const std::deque<ForestNode> &nodes() const { return Nodes; }
+  /// Visits all nodes ever made, in creation order (serialization walk).
+  template <typename FnT> void forEachNode(FnT &&Fn) const {
+    Nodes.forEach(Fn);
+  }
 
 private:
   ForestNode *make(SymbolId Sym, uint32_t Start, uint32_t End, bool IsToken);
+  /// Appends an alternative without the duplicate check.
+  void appendAlternative(ForestNode *Node, RuleId Rule,
+                         ArrayView<ForestNode *> Children);
   /// Epoch validity of a packing-lookup hit (see beginEpoch).
-  bool validHit(ForestNode *Node) const {
+  bool validHit(const ForestNode *Node) const {
     return Node->Epoch == CurEpoch || Node->End <= Watermark;
   }
 
+  /// The packing index: open addressing with linear probing over a
+  /// power-of-two table at most half full. Deletion shifts the following
+  /// entries back instead of leaving tombstones, which keeps every entry
+  /// between its home slot and the next empty slot — so same-hash
+  /// entries stay in insertion order.
+  struct Slot {
+    uint64_t Hash;
+    ForestNode *Node; ///< Null marks an empty slot.
+  };
+  /// First valid node with hash \p Hash that satisfies \p Match, erasing
+  /// the invalid same-hash entries met on the way; null when none.
+  template <typename MatchT> ForestNode *lookup(uint64_t Hash, MatchT &&Match);
+  void insert(uint64_t Hash, ForestNode *Node);
+  void eraseSlot(size_t I);
+  void growIndex();
+
   bool PackNodes;
-  std::deque<ForestNode> Nodes;
-  std::unordered_map<uint64_t, std::vector<ForestNode *>> Index;
+  ChunkPool<ForestNode> Nodes{256};
+  ChunkPool<ForestNode::Alternative> AltPool{256};
+  ChunkPool<ForestNode *> ChildPool{1024};
+  std::vector<Slot> Index;
+  size_t IndexCount = 0;
   size_t TotalAlternatives = 0;
   size_t PackedAmbiguities = 0;
   uint32_t CurEpoch = 0;

@@ -11,12 +11,6 @@ using namespace ipg;
 
 namespace {
 
-/// A queued reduction.
-struct PendingReduce {
-  GssNode *From;
-  RuleId Rule;
-};
-
 MetricCounter &gssNodeCounter() {
   static MetricCounter &C =
       MetricsRegistry::process().counter("glr.gss.nodes_constructed");
@@ -26,36 +20,63 @@ MetricCounter &gssNodeCounter() {
 } // namespace
 
 GssNode *GssEngine::newNode(ItemSet *State, uint32_t Layer) {
-  NodeArena.push_back(GssNode{State, Layer, false, {}});
   ++Result.GssNodes;
   gssNodeCounter().bump();
-  return &NodeArena.back();
+  return NodePool.make(State, Layer, /*Processed=*/false);
 }
 
-GssNode *GssEngine::restoreNode(ItemSet *State, uint32_t Layer) {
+GssNode *GssEngine::restoreNode(ItemSet *State, uint32_t Layer,
+                                bool Processed) {
   // Deserialization rebuild: not a construction the incremental-evidence
   // metric should see.
-  NodeArena.push_back(GssNode{State, Layer, true, {}});
-  return &NodeArena.back();
+  return NodePool.make(State, Layer, Processed);
 }
 
-void GssEngine::beginRestore(Forest &Forst) {
-  F = &Forst;
-  NodeArena.clear();
+void GssEngine::addEdge(GssNode *Node, GssNode *Back, ForestNode *Deriv) {
+  GssNode::EdgeList &L = Node->Edges;
+  if (L.Count == 0) {
+    L.Head = GssNode::EdgeList::Link{{Back, Deriv}, nullptr};
+    L.Tail = &L.Head;
+  } else {
+    GssNode::EdgeList::Link *Link =
+        EdgePool.make(GssNode::EdgeList::Link{{Back, Deriv}, nullptr});
+    L.Tail->Next = Link;
+    L.Tail = Link;
+  }
+  ++L.Count;
+}
+
+void GssEngine::putInLayer(GssNode *Node, uint64_t Stamp) {
+  size_t Id = Node->State->id();
+  if (Id >= ByState.size())
+    ByState.resize(std::max(Id + 1, ByState.size() * 2), {0, nullptr});
+  ByState[Id] = {Stamp, Node};
+}
+
+void GssEngine::resetStorage() {
+  // Pointers from previous parses die here; the chunks stay for reuse.
+  NodePool.reset();
+  EdgePool.reset();
   Records.clear();
   Frontier.clear();
   PendingShifts.clear();
+  // ByState keeps its capacity; the monotone stamps make stale entries
+  // unmatchable.
   Result = GlrResult();
-  Root = nullptr;
   Pos = 0;
   Resumed = false;
   CurStamp = ++StampCounter;
 }
 
-void GssEngine::seatRestored(std::deque<GssLayerRecord> Recs,
-                             std::vector<GssNode *> Front, GssNode *NewRoot,
-                             size_t Position, bool WasResumed,
-                             GlrResult Stats) {
+void GssEngine::beginRestore(Forest &Forst) {
+  F = &Forst;
+  resetStorage();
+  Root = nullptr;
+}
+
+void GssEngine::seatRestored(GssRecords &&Recs, std::vector<GssNode *> Front,
+                             GssNode *NewRoot, size_t Position,
+                             bool WasResumed, GlrResult Stats) {
   Records = std::move(Recs);
   Frontier = std::move(Front);
   Root = NewRoot;
@@ -63,57 +84,36 @@ void GssEngine::seatRestored(std::deque<GssLayerRecord> Recs,
   Resumed = WasResumed;
   Result = Stats;
   CurStamp = ++StampCounter;
-  if (!Resumed) {
-    // A pre-fixpoint frontier: the next step()'s reduction round asks
-    // the layer index "which node holds state S", so re-register it, and
-    // clear Processed so the fixpoint actually queries ACTION for these
-    // nodes (restoreNode marks everything processed; only a pre-fixpoint
-    // frontier still has work pending).
-    for (GssNode *Node : Frontier) {
-      Node->Processed = false;
-      size_t Id = Node->State->id();
-      if (Id >= ByState.size())
-        ByState.resize(std::max(Id + 1, ByState.size() * 2), {0, nullptr});
-      ByState[Id] = {CurStamp, Node};
-    }
-  }
+  // A pre-fixpoint frontier: the next step()'s reduction round asks the
+  // layer index "which node holds state S", so register it.
+  if (!Resumed)
+    for (GssNode *Node : Frontier)
+      putInLayer(Node, CurStamp);
 }
 
 void GssEngine::begin(Forest &Forst) {
   F = &Forst;
-  NodeArena.clear();
-  Records.clear();
-  Frontier.clear();
-  // ByState keeps its capacity; the monotone stamps make stale entries
-  // unmatchable.
-  Result = GlrResult();
-  Pos = 0;
-  Resumed = false;
-  CurStamp = ++StampCounter;
-
+  resetStorage();
   Root = newNode(Graph->startSet(), 0);
   Frontier.push_back(Root);
-  size_t Id = Root->State->id();
-  if (Id >= ByState.size())
-    ByState.resize(std::max(Id + 1, ByState.size() * 2), {0, nullptr});
-  ByState[Id] = {CurStamp, Root};
+  putInLayer(Root, CurStamp);
 }
 
-void GssEngine::recordLayer(const std::vector<GssNode *> &Front) {
+void GssEngine::recordLayer() {
   assert(Records.size() == Pos && "layer recorded out of order");
-  GssLayerRecord Rec;
-  Rec.Nodes = Front;
-  std::sort(Rec.Nodes.begin(), Rec.Nodes.end(),
-            [](const GssNode *A, const GssNode *B) {
+  const size_t Begin = Records.Nodes.size();
+  Records.push(Frontier);
+  std::sort(Records.Nodes.begin() + static_cast<std::ptrdiff_t>(Begin),
+            Records.Nodes.end(), [](const GssNode *A, const GssNode *B) {
               return A->State->id() < B->State->id();
             });
-  Records.push_back(std::move(Rec));
 }
 
 void GssEngine::restore(size_t Layer) {
   assert(Layer < Records.size() && "no record for restore layer");
-  Records.resize(Layer + 1);
-  Frontier = Records[Layer].Nodes;
+  Records.truncate(Layer + 1);
+  ArrayView<GssNode *> Rec = Records[Layer];
+  Frontier.assign(Rec.begin(), Rec.end());
   Pos = Layer;
   Resumed = true;
   CurStamp = ++StampCounter;
@@ -122,11 +122,11 @@ void GssEngine::restore(size_t Layer) {
   Result.ErrorIndex = 0;
 }
 
-void GssEngine::adoptTail(std::deque<GssLayerRecord> &&Tail, size_t EndPos) {
-  for (GssLayerRecord &Rec : Tail)
-    Records.push_back(std::move(Rec));
+void GssEngine::adoptTail(const GssRecords &Tail, size_t From, size_t EndPos) {
+  Records.append(Tail, From);
   assert(!Records.empty());
-  Frontier = Records.back().Nodes;
+  ArrayView<GssNode *> Last = Records.back();
+  Frontier.assign(Last.begin(), Last.end());
   Pos = EndPos;
   Resumed = true;
   CurStamp = ++StampCounter;
@@ -136,18 +136,22 @@ bool GssEngine::rebindGraph(ItemSetGraph &New) {
   // Verify-then-commit, so a failed migration leaves every pointer on the
   // old graph. ByState needs no fixup: it is keyed by stable id and holds
   // node pointers, both graph-independent.
-  for (const GssNode &Node : NodeArena)
-    if (New.setById(Node.State->id()) == nullptr)
-      return false;
-  for (GssNode &Node : NodeArena)
-    Node.State = New.setById(Node.State->id());
+  bool Live = true;
+  NodePool.forEach([&](const GssNode &Node) {
+    Live = Live && New.setById(Node.State->id()) != nullptr;
+  });
+  if (!Live)
+    return false;
+  NodePool.forEach(
+      [&](GssNode &Node) { Node.State = New.setById(Node.State->id()); });
   Graph = &New;
   return true;
 }
 
-void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
-  std::vector<PendingReduce> Reductions;
-  std::vector<GssNode *> Queue = Front;
+void GssEngine::runFixpoint(SymbolId Token) {
+  std::vector<GssNode *> &Front = Frontier;
+  Reductions.clear();
+  Queue.assign(Front.begin(), Front.end());
   size_t QueueIdx = 0;
 
   // Farshi's safety net: a new edge below an already-processed node can
@@ -165,12 +169,6 @@ void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
       return nullptr;
     return ByState[Id].second;
   };
-  auto PutInLayer = [&](GssNode *Node) {
-    size_t Id = Node->State->id();
-    if (Id >= ByState.size())
-      ByState.resize(std::max(Id + 1, ByState.size() * 2), {0, nullptr});
-    ByState[Id] = {CurStamp, Node};
-  };
 
   // Performs one queued reduction: enumerate stack paths of the rule's
   // length, build/pack the forest node per path, and extend the GSS.
@@ -179,7 +177,7 @@ void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
     const size_t M = R.Rhs.size();
     ++Result.Reductions;
 
-    std::vector<ForestNode *> Deriv(M);
+    Deriv.resize(M);
     auto FinishPath = [&](GssNode *Bottom) {
       ++Result.ReductionPaths;
       // Nodes below the frontier were completed in their own layer, but
@@ -194,16 +192,16 @@ void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
       GssNode *U = FindInLayer(Target);
       if (U == nullptr) {
         U = newNode(Target, static_cast<uint32_t>(Pos));
-        U->Edges.push_back(GssNode::Edge{Bottom, FN});
+        addEdge(U, Bottom, FN);
         ++Result.GssEdges;
         Front.push_back(U);
-        PutInLayer(U);
+        putInLayer(U, CurStamp);
         Queue.push_back(U);
         return;
       }
       if (U->hasEdge(Bottom, FN))
         return;
-      U->Edges.push_back(GssNode::Edge{Bottom, FN});
+      addEdge(U, Bottom, FN);
       ++Result.GssEdges;
       if (U->Processed)
         NeedsBroadcast = true;
@@ -218,10 +216,12 @@ void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
       }
       // Snapshot: edges added during FinishPath recursion must not be
       // traversed mid-enumeration (the broadcast sweep covers them).
-      size_t NumEdges = Cur->Edges.size();
-      for (size_t I = 0; I < NumEdges; ++I) {
-        Deriv[Remaining - 1] = Cur->Edges[I].Deriv;
-        Self(Self, Cur->Edges[I].Back, Remaining - 1);
+      // Links never move, so the cursor survives those appends.
+      const size_t NumEdges = Cur->Edges.size();
+      auto It = Cur->Edges.begin();
+      for (size_t I = 0; I < NumEdges; ++I, ++It) {
+        Deriv[Remaining - 1] = It->Deriv;
+        Self(Self, It->Back, Remaining - 1);
       }
     };
 
@@ -278,8 +278,8 @@ void GssEngine::runFixpoint(SymbolId Token, std::vector<GssNode *> &Front) {
 bool GssEngine::step(SymbolId Token) {
   PendingShifts.clear();
   if (!Resumed) {
-    runFixpoint(Token, Frontier);
-    recordLayer(Frontier);
+    runFixpoint(Token);
+    recordLayer();
   } else {
     // The restored frontier is already post-fixpoint (reductions are
     // token-independent under LR(0)); only the shift decision depends on
@@ -295,7 +295,7 @@ bool GssEngine::step(SymbolId Token) {
   // Shifter: advance every surviving parser over Token in lock-step —
   // the paper's synchronization of the this-sweep/next-sweep pools. The
   // next layer's stamp keys its target lookups in the same dense index.
-  std::vector<GssNode *> NextFrontier;
+  NextFrontier.clear();
   const uint64_t NextStamp = ++StampCounter;
   ForestNode *TokenNode = nullptr;
   for (const auto &S : PendingShifts) {
@@ -308,11 +308,9 @@ bool GssEngine::step(SymbolId Token) {
     if (U == nullptr) {
       U = newNode(S.Target, static_cast<uint32_t>(Pos + 1));
       NextFrontier.push_back(U);
-      if (Id >= ByState.size())
-        ByState.resize(std::max(Id + 1, ByState.size() * 2), {0, nullptr});
-      ByState[Id] = {NextStamp, U};
+      putInLayer(U, NextStamp);
     }
-    U->Edges.push_back(GssNode::Edge{S.From, TokenNode});
+    addEdge(U, S.From, TokenNode);
     ++Result.GssEdges;
     ++Result.Shifts;
   }
@@ -321,7 +319,7 @@ bool GssEngine::step(SymbolId Token) {
     Result.ErrorIndex = Pos;
     return false;
   }
-  Frontier = std::move(NextFrontier);
+  Frontier.swap(NextFrontier);
   CurStamp = NextStamp;
   ++Pos;
   return true;
@@ -331,8 +329,8 @@ GlrResult GssEngine::finish() {
   Grammar &G = Graph->grammar();
   PendingShifts.clear();
   if (!Resumed) {
-    runFixpoint(G.endMarker(), Frontier);
-    recordLayer(Frontier);
+    runFixpoint(G.endMarker());
+    recordLayer();
     PendingShifts.clear();
   }
 
@@ -345,7 +343,7 @@ GlrResult GssEngine::finish() {
     for (RuleId RId : Graph->acceptRules(Node->State)) {
       const Rule &R = G.rule(RId);
       const size_t M = R.Rhs.size();
-      std::vector<ForestNode *> Deriv(M);
+      Deriv.resize(M);
       auto Walk = [&](auto &&Self, GssNode *Cur, size_t Remaining) -> void {
         if (Remaining == 0) {
           if (Cur != Root)

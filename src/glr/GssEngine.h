@@ -16,16 +16,24 @@
 /// consult the lookahead. Hence the *post-fixpoint* frontier of layer k
 /// (all reductions drained, shifts not yet taken) is a deterministic
 /// function of tokens 0..k-1 alone. Each step records exactly that
-/// frontier as the layer's GssLayerRecord: an exact checkpoint. Restoring
-/// one re-seats the frontier on nodes that will never mutate again (a
-/// completed layer's nodes gain no edges once its shifts are taken), and
-/// the resumed step only needs a shift-only ACTION re-query with the new
-/// token — the reductions are already in the stack.
+/// frontier as the layer's record (GssRecords): an exact checkpoint.
+/// Restoring one re-seats the frontier on nodes that will never mutate
+/// again (a completed layer's nodes gain no edges once its shifts are
+/// taken), and the resumed step only needs a shift-only ACTION re-query
+/// with the new token — the reductions are already in the stack.
 ///
 /// Frontier lookups are stamped with a monotonically increasing counter
 /// rather than the input position, so a rewound parse can never collide
 /// with stale ByState entries from an abandoned branch of a previous
 /// generation.
+///
+/// Storage (support/ChunkPool.h): nodes and their overflow edges live in
+/// engine-owned chunks that never move and survive begin(), so a warm
+/// engine's parse allocates nothing per token. A node's first edge is
+/// inline; further edges are appended to a list in the edge pool, in
+/// insertion order. The checkpoint records are one flat node array plus
+/// per-layer offsets (GssRecords), also kept across begin(), and the
+/// fixpoint's queues are engine members that keep their capacity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +42,10 @@
 
 #include "glr/Forest.h"
 #include "lr/ItemSetGraph.h"
+#include "support/ArrayView.h"
+#include "support/ChunkPool.h"
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace ipg {
@@ -62,15 +71,61 @@ struct GlrResult {
 /// layer it was created in. Edges point towards the bottom of the stack
 /// and carry the forest node derived over the spanned input.
 struct GssNode {
-  ItemSet *State;
-  uint32_t Layer;
-  bool Processed = false;
-
   struct Edge {
     GssNode *Back;
     ForestNode *Deriv;
   };
-  std::vector<Edge> Edges;
+
+  /// The node's edges in insertion order: the first inline, the rest
+  /// linked through the owning engine's edge pool (GssEngine::addEdge).
+  /// Links never move, so an iterator stays valid across appends.
+  class EdgeList {
+  public:
+    struct Link {
+      Edge E;
+      Link *Next;
+    };
+    template <typename LinkT, typename EdgeT> class Iter {
+    public:
+      explicit Iter(LinkT *L) : L(L) {}
+      EdgeT &operator*() const { return L->E; }
+      EdgeT *operator->() const { return &L->E; }
+      Iter &operator++() {
+        L = L->Next;
+        return *this;
+      }
+      bool operator!=(const Iter &O) const { return L != O.L; }
+
+    private:
+      LinkT *L;
+    };
+    using iterator = Iter<Link, Edge>;
+    using const_iterator = Iter<const Link, const Edge>;
+
+    iterator begin() { return iterator(Count ? &Head : nullptr); }
+    iterator end() { return iterator(nullptr); }
+    const_iterator begin() const {
+      return const_iterator(Count ? &Head : nullptr);
+    }
+    const_iterator end() const { return const_iterator(nullptr); }
+    size_t size() const { return Count; }
+
+  private:
+    friend class GssEngine;
+    Link Head{{nullptr, nullptr}, nullptr};
+    Link *Tail = nullptr;
+    uint32_t Count = 0;
+  };
+
+  GssNode(ItemSet *State, uint32_t Layer, bool Processed)
+      : State(State), Layer(Layer), Processed(Processed) {}
+  GssNode(const GssNode &) = delete; // Edges.Tail may point into the node.
+  GssNode &operator=(const GssNode &) = delete;
+
+  ItemSet *State;
+  uint32_t Layer;
+  bool Processed = false;
+  EdgeList Edges;
 
   bool hasEdge(const GssNode *Back, const ForestNode *Deriv) const {
     for (const Edge &E : Edges)
@@ -80,11 +135,50 @@ struct GssNode {
   }
 };
 
-/// The post-fixpoint frontier of one input layer — the engine's exact
-/// checkpoint unit. Nodes are kept sorted by item-set id so two records
+/// Post-fixpoint frontiers, one per input layer — the engine's exact
+/// checkpoints — stored as one flat node array plus per-layer end
+/// offsets. Each layer's nodes are sorted by item-set id so two layers
 /// can be compared by a linear id sweep (the re-convergence precheck).
-struct GssLayerRecord {
+class GssRecords {
+public:
+  /// Number of layers recorded.
+  size_t size() const { return Ends.size(); }
+  bool empty() const { return Ends.empty(); }
+
+  /// The nodes of layer \p K.
+  ArrayView<GssNode *> operator[](size_t K) const {
+    const size_t Begin = K == 0 ? 0 : Ends[K - 1];
+    return ArrayView<GssNode *>(Nodes.data() + Begin, Ends[K] - Begin);
+  }
+  ArrayView<GssNode *> back() const { return (*this)[size() - 1]; }
+
+  /// Appends one layer.
+  void push(ArrayView<GssNode *> Layer) {
+    Nodes.insert(Nodes.end(), Layer.begin(), Layer.end());
+    Ends.push_back(Nodes.size());
+  }
+  /// Appends layers [\p From, Other.size()) of \p Other.
+  void append(const GssRecords &Other, size_t From) {
+    for (size_t K = From; K < Other.size(); ++K)
+      push(Other[K]);
+  }
+  /// Keeps the first \p N layers.
+  void truncate(size_t N) {
+    if (N >= Ends.size())
+      return;
+    Nodes.resize(N == 0 ? 0 : Ends[N - 1]);
+    Ends.resize(N);
+  }
+  /// Drops every layer, keeping capacity.
+  void clear() {
+    Nodes.clear();
+    Ends.clear();
+  }
+
+private:
+  friend class GssEngine;
   std::vector<GssNode *> Nodes;
+  std::vector<size_t> Ends;
 };
 
 /// Resumable Tomita stepper over a (possibly still growing) item-set
@@ -119,22 +213,21 @@ public:
   /// Per-layer checkpoints recorded so far: records()[k] is the
   /// post-fixpoint frontier over tokens 0..k-1. Layer k has a record
   /// once step(token k) or finish() has run.
-  const std::deque<GssLayerRecord> &records() const { return Records; }
-  std::deque<GssLayerRecord> &records() { return Records; }
+  const GssRecords &records() const { return Records; }
 
   /// Rewinds the parse to layer \p Layer: the frontier becomes that
   /// layer's recorded (post-fixpoint) frontier and records after it are
-  /// dropped — move them out beforehand if they are still wanted (the
+  /// dropped — copy them out beforehand if they are still wanted (the
   /// bounded re-parse grafts them back). The next step() skips the
   /// fixpoint and performs only the shift-only ACTION re-query.
   void restore(size_t Layer);
 
   /// Adopts a grafted stack tail after a converged bounded re-parse:
-  /// appends \p Tail to the records, seats the frontier on the last
-  /// record, and fast-forwards the position to \p EndPos. The caller
-  /// has already fixed the tail's nodes up (layers shifted, seam edges
-  /// re-pointed).
-  void adoptTail(std::deque<GssLayerRecord> &&Tail, size_t EndPos);
+  /// appends layers [\p From, Tail.size()) of \p Tail to the records,
+  /// seats the frontier on the last one, and fast-forwards the position
+  /// to \p EndPos. The caller has already fixed the tail's nodes up
+  /// (layers shifted, seam edges re-pointed).
+  void adoptTail(const GssRecords &Tail, size_t From, size_t EndPos);
 
   /// The layer-0 root node acceptance paths must reach.
   GssNode *root() const { return Root; }
@@ -153,7 +246,7 @@ public:
   bool rebindGraph(ItemSetGraph &New);
 
   /// Arena node count (live + abandoned branches) — observability only.
-  size_t numArenaNodes() const { return NodeArena.size(); }
+  size_t numArenaNodes() const { return NodePool.size(); }
 
   /// The live frontier — post-shift (pre-fixpoint) nodes of layer
   /// position(), or a restored record when resumed() is true.
@@ -166,40 +259,54 @@ public:
 
   //===--------------------------------------------------------------------===//
   // Deserializer protocol (incremental/ParseSnapshot.h): beginRestore()
-  // empties the engine without seeding a fresh stack, restoreNode()
-  // repopulates the arena 1:1, seatRestored() installs the records, the
-  // frontier and the position in one move.
+  // empties the engine without seeding a fresh stack, restoreNode() and
+  // addEdge() repopulate the arena 1:1, seatRestored() installs the
+  // records, the frontier and the position in one move.
   //===--------------------------------------------------------------------===//
 
   /// Clears the engine for a 1:1 rebuild; no root is created.
   void beginRestore(Forest &Forst);
 
-  /// Creates a node in the engine arena without stepping. Does not touch
-  /// the construction metric: a rebuild is not new parse work.
-  GssNode *restoreNode(ItemSet *State, uint32_t Layer);
+  /// Creates a node in the engine arena without stepping. \p Processed is
+  /// the flag the node had in the suspended engine: false exactly for a
+  /// pre-fixpoint frontier node, whose ACTION query is still pending.
+  /// Does not touch the construction metric: a rebuild is not new parse
+  /// work.
+  GssNode *restoreNode(ItemSet *State, uint32_t Layer, bool Processed);
+
+  /// Appends an edge to \p Node (after any it already has).
+  void addEdge(GssNode *Node, GssNode *Back, ForestNode *Deriv);
 
   /// Installs the rebuilt stack. \p WasResumed restores the post-fixpoint
   /// flag the suspended engine carried; when false the frontier is
   /// registered in the layer index so the next fixpoint can find it.
-  void seatRestored(std::deque<GssLayerRecord> Recs,
-                    std::vector<GssNode *> Front, GssNode *NewRoot,
-                    size_t Position, bool WasResumed, GlrResult Stats);
+  void seatRestored(GssRecords &&Recs, std::vector<GssNode *> Front,
+                    GssNode *NewRoot, size_t Position, bool WasResumed,
+                    GlrResult Stats);
 
 private:
   struct PendingShift {
     GssNode *From;
     ItemSet *Target;
   };
+  struct PendingReduce {
+    GssNode *From;
+    RuleId Rule;
+  };
 
   GssNode *newNode(ItemSet *State, uint32_t Layer);
-  void runFixpoint(SymbolId Token, std::vector<GssNode *> &Frontier);
-  void recordLayer(const std::vector<GssNode *> &Frontier);
+  /// Makes \p Node the current layer's holder of its state.
+  void putInLayer(GssNode *Node, uint64_t Stamp);
+  void runFixpoint(SymbolId Token);
+  void recordLayer();
+  void resetStorage();
 
   ItemSetGraph *Graph;
   Forest *F = nullptr;
 
-  std::deque<GssNode> NodeArena;
-  std::deque<GssLayerRecord> Records;
+  ChunkPool<GssNode> NodePool{256};
+  ChunkPool<GssNode::EdgeList::Link> EdgePool{64};
+  GssRecords Records;
 
   // Dense frontier index keyed by item-set id, stamped per layer
   // *generation*: "which node of this layer holds state S" is asked on
@@ -218,6 +325,15 @@ private:
   /// Shifts collected by the current layer's ACTION queries, consumed by
   /// the shifter at the end of step().
   std::vector<PendingShift> PendingShifts;
+
+  // Fixpoint and shifter scratch, kept at capacity across layers and
+  // parses.
+  std::vector<GssNode *> Queue;
+  std::vector<PendingReduce> Reductions;
+  std::vector<GssNode *> NextFrontier;
+  /// The reduction path's derivation children, one per right-hand-side
+  /// symbol (reductions never nest, so one buffer serves them all).
+  std::vector<ForestNode *> Deriv;
 
   GssNode *Root = nullptr;
   size_t Pos = 0;

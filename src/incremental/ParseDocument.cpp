@@ -106,7 +106,7 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
   const size_t OldN =
       static_cast<size_t>(static_cast<std::ptrdiff_t>(N) - D.Delta);
 
-  std::deque<GssLayerRecord> OldTail;
+  OldTail.clear();
   size_t Resume = 0;
   bool TryGraft = false;
   uint64_t Nodes0 = 0;
@@ -114,7 +114,7 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
   if (State == ParseState::Idle ||
       (D.Pending && Engine.records().empty())) {
     // From scratch: content may share nothing with what was parsed.
-    F = Forest();
+    F.clear();
     Engine.begin(F);
     Stats.Path = ReparseStats::Scratch;
   } else if (!D.Pending ||
@@ -134,11 +134,8 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
     TryGraft = !D.Automaton && Finish && UpTo == N &&
                State == ParseState::Finished &&
                Engine.records().size() == OldN + 1 && Resume == D.Start;
-    if (TryGraft) {
-      auto &Recs = Engine.records();
-      for (size_t I = Resume + 1; I < Recs.size(); ++I)
-        OldTail.push_back(std::move(Recs[I]));
-    }
+    if (TryGraft)
+      OldTail.append(Engine.records(), Resume + 1);
     Nodes0 = Engine.result().GssNodes;
     Engine.restore(Resume);
     F.beginEpoch(static_cast<uint32_t>(D.Start));
@@ -163,7 +160,7 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
           static_cast<std::ptrdiff_t>(Q) - D.Delta;
       if (P > static_cast<std::ptrdiff_t>(Resume) &&
           P < static_cast<std::ptrdiff_t>(OldN) &&
-          tryConverge(Q, static_cast<size_t>(P), OldTail, Resume, D)) {
+          tryConverge(Q, static_cast<size_t>(P), Resume, D)) {
         Grafted = true;
         Stats.Path = ReparseStats::Grafted;
         Stats.ConvergedAt = Q;
@@ -194,17 +191,16 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
 // Convergence: precheck, isomorphism walk, forest rebuild, graft.
 //===----------------------------------------------------------------------===//
 
-bool ParseDocument::tryConverge(size_t Q, size_t P,
-                                std::deque<GssLayerRecord> &OldTail,
-                                size_t ResumeLayer, const Damage &D) {
-  const GssLayerRecord &OldRec = OldTail[P - ResumeLayer - 1];
-  const GssLayerRecord &NewRec = Engine.records()[Q];
+bool ParseDocument::tryConverge(size_t Q, size_t P, size_t ResumeLayer,
+                                const Damage &D) {
+  ArrayView<GssNode *> OldRec = OldTail[P - ResumeLayer - 1];
+  ArrayView<GssNode *> NewRec = Engine.records()[Q];
 
   // Cheap precheck: identical sorted state-id sequences.
-  if (OldRec.Nodes.size() != NewRec.Nodes.size())
+  if (OldRec.size() != NewRec.size())
     return false;
-  for (size_t I = 0; I < OldRec.Nodes.size(); ++I)
-    if (OldRec.Nodes[I]->State != NewRec.Nodes[I]->State)
+  for (size_t I = 0; I < OldRec.size(); ++I)
+    if (OldRec[I]->State != NewRec[I]->State)
       return false;
 
   SeamMaps Maps;
@@ -213,27 +209,20 @@ bool ParseDocument::tryConverge(size_t Q, size_t P,
     return false;
   }
 
-  // Move the suffix (old layers P+1..OldN) out for rebuilding; put it
-  // back if the forest mapping finds a violated assumption, so a later
-  // layer can still try.
-  std::deque<GssLayerRecord> Suffix;
+  // The suffix is old layers P+1..OldN. A forest mapping that finds a
+  // violated assumption leaves it untouched, so a later layer can still
+  // try.
   const size_t First = P - ResumeLayer;
-  for (size_t I = First; I < OldTail.size(); ++I)
-    Suffix.push_back(std::move(OldTail[I]));
-
   std::unordered_map<ForestNode *, ForestNode *> ForestMemo;
-  if (!rebuildSuffixForest(Suffix, P, D, Maps, ForestMemo)) {
-    for (size_t I = 0; I < Suffix.size(); ++I)
-      OldTail[First + I] = std::move(Suffix[I]);
+  if (!rebuildSuffixForest(First, P, D, Maps, ForestMemo))
     return false;
-  }
 
-  graft(std::move(Suffix), D, Maps, ForestMemo);
+  graft(First, D, Maps, ForestMemo);
   return true;
 }
 
-bool ParseDocument::isoWalk(const GssLayerRecord &OldRec,
-                            const GssLayerRecord &NewRec, size_t ResumeLayer,
+bool ParseDocument::isoWalk(ArrayView<GssNode *> OldRec,
+                            ArrayView<GssNode *> NewRec, size_t ResumeLayer,
                             SeamMaps &Maps) const {
   std::vector<std::pair<GssNode *, GssNode *>> Work;
 
@@ -255,8 +244,8 @@ bool ParseDocument::isoWalk(const GssLayerRecord &OldRec,
     return true;
   };
 
-  for (size_t I = 0; I < OldRec.Nodes.size(); ++I)
-    if (!Pair(OldRec.Nodes[I], NewRec.Nodes[I]))
+  for (size_t I = 0; I < OldRec.size(); ++I)
+    if (!Pair(OldRec[I], NewRec[I]))
       return false;
 
   // Edge lists are compared in order: the fixpoint that builds a layer
@@ -266,9 +255,10 @@ bool ParseDocument::isoWalk(const GssLayerRecord &OldRec,
   while (!Work.empty()) {
     auto [O, N] = Work.back();
     Work.pop_back();
-    for (size_t I = 0; I < O->Edges.size(); ++I) {
-      const GssNode::Edge &EO = O->Edges[I];
-      const GssNode::Edge &EN = N->Edges[I];
+    auto ItN = N->Edges.begin();
+    for (const GssNode::Edge &EO : O->Edges) {
+      const GssNode::Edge &EN = *ItN;
+      ++ItN;
       if (!Pair(EO.Back, EN.Back))
         return false;
       if (EO.Deriv != EN.Deriv) {
@@ -282,8 +272,7 @@ bool ParseDocument::isoWalk(const GssLayerRecord &OldRec,
 }
 
 bool ParseDocument::rebuildSuffixForest(
-    std::deque<GssLayerRecord> &Suffix, size_t OldLayer, const Damage &D,
-    SeamMaps &Maps,
+    size_t First, size_t OldLayer, const Damage &D, SeamMaps &Maps,
     std::unordered_map<ForestNode *, ForestNode *> &ForestMemo) {
   const auto DamageStart = static_cast<uint32_t>(D.Start);
   const auto OldDamageEnd = static_cast<uint32_t>(
@@ -348,14 +337,14 @@ bool ParseDocument::rebuildSuffixForest(
         Kids.push_back(MC);
         Cur = MC->End;
       }
-      F.addAlternative(NN, Alt.Rule, std::move(Kids));
+      F.addAlternative(NN, Alt.Rule, Kids);
     }
     return NN;
   };
 
-  for (GssLayerRecord &Rec : Suffix)
-    for (GssNode *Nd : Rec.Nodes)
-      for (GssNode::Edge &E : Nd->Edges) {
+  for (size_t K = First; K < OldTail.size(); ++K)
+    for (GssNode *Nd : OldTail[K])
+      for (const GssNode::Edge &E : Nd->Edges) {
         uint32_t Hint;
         if (auto It = Maps.Phi.find(E.Back); It != Maps.Phi.end())
           Hint = It->second->Layer;
@@ -376,10 +365,10 @@ bool ParseDocument::rebuildSuffixForest(
 }
 
 void ParseDocument::graft(
-    std::deque<GssLayerRecord> &&Suffix, const Damage &D, SeamMaps &Maps,
+    size_t First, const Damage &D, SeamMaps &Maps,
     std::unordered_map<ForestNode *, ForestNode *> &ForestMemo) {
-  for (GssLayerRecord &Rec : Suffix)
-    for (GssNode *Nd : Rec.Nodes) {
+  for (size_t K = First; K < OldTail.size(); ++K)
+    for (GssNode *Nd : OldTail[K]) {
       Nd->Layer = static_cast<uint32_t>(
           static_cast<std::ptrdiff_t>(Nd->Layer) + D.Delta);
       for (GssNode::Edge &E : Nd->Edges) {
@@ -388,5 +377,5 @@ void ParseDocument::graft(
         E.Deriv = ForestMemo.at(E.Deriv);
       }
     }
-  Engine.adoptTail(std::move(Suffix), Tokens.size());
+  Engine.adoptTail(OldTail, First, Tokens.size());
 }

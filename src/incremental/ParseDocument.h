@@ -48,7 +48,6 @@
 #include "support/TokenView.h"
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -200,41 +199,44 @@ private:
   /// convergence when eligible, and finishes or suspends.
   void run(size_t UpTo, bool Finish);
 
-  /// One convergence attempt at new layer \p Q against old layer \p P:
-  /// state-id precheck, isomorphism walk, forest rebuild, graft. True
-  /// when the graft committed (the engine then holds the full stack).
-  bool tryConverge(size_t Q, size_t P, std::deque<GssLayerRecord> &OldTail,
-                   size_t ResumeLayer, const Damage &D);
+  /// One convergence attempt at new layer \p Q against old layer \p P
+  /// (OldTail[P - ResumeLayer - 1]): state-id precheck, isomorphism walk,
+  /// forest rebuild, graft. True when the graft committed (the engine
+  /// then holds the full stack).
+  bool tryConverge(size_t Q, size_t P, size_t ResumeLayer, const Damage &D);
 
   /// Structural isomorphism between the old frontier record \p OldRec
   /// and the new frontier record \p NewRec, walking the damage region
   /// down to pointer-shared prefix nodes (layer <= ResumeLayer). Fills
   /// \p Maps; false on any mismatch.
-  bool isoWalk(const GssLayerRecord &OldRec, const GssLayerRecord &NewRec,
+  bool isoWalk(ArrayView<GssNode *> OldRec, ArrayView<GssNode *> NewRec,
                size_t ResumeLayer, SeamMaps &Maps) const;
 
   /// Rebuilds the old suffix forest into new coordinates: every
-  /// derivation on \p Suffix edges is mapped — identity inside the
-  /// unchanged prefix, psi across the seam, a 1:1 restoreNode rebuild
-  /// (spans shifted by Delta) elsewhere. \p OldLayer is the old-side
-  /// convergence layer (suffix records cover OldLayer+1 onward). On
-  /// success the rebuilt nodes are published to the packing index; on
-  /// failure nothing reachable was created and the graft is abandoned.
-  bool rebuildSuffixForest(std::deque<GssLayerRecord> &Suffix,
-                           size_t OldLayer, const Damage &D, SeamMaps &Maps,
+  /// derivation on the edges of the suffix layers OldTail[First..] is
+  /// mapped — identity inside the unchanged prefix, psi across the seam,
+  /// a 1:1 restoreNode rebuild (spans shifted by Delta) elsewhere.
+  /// \p OldLayer is the old-side convergence layer (the suffix covers
+  /// OldLayer+1 onward). On success the rebuilt nodes are published to
+  /// the packing index; on failure nothing reachable was created and the
+  /// graft is abandoned.
+  bool rebuildSuffixForest(size_t First, size_t OldLayer, const Damage &D,
+                           SeamMaps &Maps,
                            std::unordered_map<ForestNode *, ForestNode *>
                                &ForestMemo);
 
-  /// Commits the graft: fixes the suffix records up in place (layers
-  /// shifted, edges re-pointed through phi/the forest memo) and hands
-  /// them to the engine.
-  void graft(std::deque<GssLayerRecord> &&Suffix, const Damage &D,
-             SeamMaps &Maps,
+  /// Commits the graft: fixes the suffix layers OldTail[First..] up in
+  /// place (layers shifted, edges re-pointed through phi/the forest memo)
+  /// and hands them to the engine.
+  void graft(size_t First, const Damage &D, SeamMaps &Maps,
              std::unordered_map<ForestNode *, ForestNode *> &ForestMemo);
 
   std::vector<SymbolId> Tokens;
   GssEngine Engine;
   Forest F;
+  /// The previous parse's records past the resume layer while a bounded
+  /// re-parse probes for convergence (storage reused across re-parses).
+  GssRecords OldTail;
   ParseState State = ParseState::Idle;
   Damage Dmg;
   GlrResult LastResult;

@@ -57,8 +57,8 @@ Expected<size_t> ParseSnapshot::save(const Ipg &Gen, const ParseDocument &Doc,
     if (Node && StackIdx.emplace(Node, Stack.size()).second)
       Stack.push_back(Node);
   };
-  for (const GssLayerRecord &Rec : Eng.records())
-    for (const GssNode *Node : Rec.Nodes)
+  for (size_t K = 0; K < Eng.records().size(); ++K)
+    for (const GssNode *Node : Eng.records()[K])
       AddStack(Node);
   for (const GssNode *Node : Eng.frontier())
     AddStack(Node);
@@ -86,11 +86,12 @@ Expected<size_t> ParseSnapshot::save(const Ipg &Gen, const ParseDocument &Doc,
         AddReached(Child);
   std::vector<const ForestNode *> FNodes;
   std::unordered_map<const ForestNode *, uint32_t> FIdx;
-  for (const ForestNode &Node : Doc.F.nodes())
+  Doc.F.forEachNode([&](const ForestNode &Node) {
     if (Reached.count(&Node)) {
       FIdx.emplace(&Node, static_cast<uint32_t>(FNodes.size()));
       FNodes.push_back(&Node);
     }
+  });
 
   ByteWriter Body;
   Body.writeVarint(ParsVersion);
@@ -140,9 +141,9 @@ Expected<size_t> ParseSnapshot::save(const Ipg &Gen, const ParseDocument &Doc,
 
   // Checkpoint records, the frontier and the root, as stack indices.
   Body.writeVarint(Eng.records().size());
-  for (const GssLayerRecord &Rec : Eng.records()) {
-    Body.writeVarint(Rec.Nodes.size());
-    for (const GssNode *Node : Rec.Nodes)
+  for (size_t K = 0; K < Eng.records().size(); ++K) {
+    Body.writeVarint(Eng.records()[K].size());
+    for (const GssNode *Node : Eng.records()[K])
       Body.writeVarint(StackIdx.at(Node));
   }
   Body.writeVarint(Eng.frontier().size());
@@ -174,18 +175,16 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
   // same item sets if the graph is rebuilt exactly as saved. A repaired
   // (fingerprint-mismatched) load gives no such guarantee — and a
   // suspended stack over a different grammar is not worth continuing.
-  Expected<SnapshotLoadResult> Load = Gen.loadSnapshot(Path);
+  // The PARS section comes out of the same mapping, checksummed once.
+  std::vector<uint8_t> Body;
+  Expected<SnapshotLoadResult> Load =
+      Gen.loadSnapshot(Path, SnapshotParsTag, Body);
   if (!Load)
     return Load.error();
   if (!Load->FingerprintMatched)
     return Error("suspended parse requires an exact grammar match "
                  "(snapshot grammar differs from the saved one)");
-
-  Expected<std::vector<uint8_t>> Body =
-      readSnapshotExtraSection(Path, SnapshotParsTag);
-  if (!Body)
-    return Body.error();
-  ByteReader R(Body->data(), Body->size());
+  ByteReader R(Body.data(), Body.size());
 
   Expected<uint64_t> Version = R.readVarint();
   if (!Version)
@@ -258,6 +257,7 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
     F.indexRestored(Node);
     FNodes.push_back(Node);
   }
+  std::vector<ForestNode *> Children;
   for (size_t I = 0; I < FNodes.size(); ++I) {
     Expected<uint64_t> NumAlts = R.readVarint();
     if (!NumAlts)
@@ -271,8 +271,7 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
         return Error("truncated suspended-parse forest");
       if (*Rule >= G.numInternedRules() || *NumChildren > R.remaining())
         return Error("malformed suspended-parse derivation");
-      std::vector<ForestNode *> Children;
-      Children.reserve(static_cast<size_t>(*NumChildren));
+      Children.clear();
       for (size_t C = 0; C < *NumChildren; ++C) {
         Expected<uint64_t> Child = R.readVarint();
         if (!Child)
@@ -281,8 +280,7 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
           return Error("suspended-parse forest child out of range");
         Children.push_back(FNodes[static_cast<size_t>(*Child)]);
       }
-      F.addAlternative(FNodes[I], static_cast<RuleId>(*Rule),
-                       std::move(Children));
+      F.addAlternative(FNodes[I], static_cast<RuleId>(*Rule), Children);
     }
   }
 
@@ -307,7 +305,12 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
     ItemSet *State = Graph.setById(static_cast<uint32_t>(*StateId));
     if (!State)
       return Error("suspended-parse stack references a dead item set");
-    Stack.push_back(Eng.restoreNode(State, static_cast<uint32_t>(*Layer)));
+    // Only a pre-fixpoint frontier still has its ACTION query pending;
+    // such a frontier is exactly the saved nodes of layer Pos (a resumed
+    // or finished frontier is post-fixpoint).
+    const bool Processed = Finished || WasResumed || *Layer < *Pos;
+    Stack.push_back(
+        Eng.restoreNode(State, static_cast<uint32_t>(*Layer), Processed));
   }
   for (size_t I = 0; I < Stack.size(); ++I) {
     Expected<uint64_t> NumEdges = R.readVarint();
@@ -323,8 +326,8 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
       if (*Back >= Stack.size() || *Deriv >= FNodes.size() ||
           Stack[static_cast<size_t>(*Back)]->Layer > Stack[I]->Layer)
         return Error("malformed suspended-parse stack edge");
-      Stack[I]->Edges.push_back({Stack[static_cast<size_t>(*Back)],
-                                 FNodes[static_cast<size_t>(*Deriv)]});
+      Eng.addEdge(Stack[I], Stack[static_cast<size_t>(*Back)],
+                  FNodes[static_cast<size_t>(*Deriv)]);
     }
   }
 
@@ -339,15 +342,15 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
       (Finished || WasResumed) ? *Pos + 1 : *Pos;
   if (*NumRecords != WantRecords)
     return Error("suspended-parse records disagree with its position");
-  std::deque<GssLayerRecord> Records;
+  GssRecords Records;
+  std::vector<GssNode *> Rec;
   for (size_t L = 0; L < *NumRecords; ++L) {
     Expected<uint64_t> Count = R.readVarint();
     if (!Count)
       return Count.error();
     if (*Count == 0 || *Count > R.remaining())
       return Error("malformed suspended-parse record");
-    GssLayerRecord Rec;
-    Rec.Nodes.reserve(static_cast<size_t>(*Count));
+    Rec.clear();
     uint64_t PrevId = 0;
     for (size_t I = 0; I < *Count; ++I) {
       Expected<uint64_t> Idx = R.readVarint();
@@ -362,9 +365,9 @@ ParseSnapshot::resume(Ipg &Gen, const std::string &Path) {
       if (I > 0 && Id <= PrevId)
         return Error("suspended-parse record frontier not sorted");
       PrevId = Id;
-      Rec.Nodes.push_back(Node);
+      Rec.push_back(Node);
     }
-    Records.push_back(std::move(Rec));
+    Records.push(Rec);
   }
 
   Expected<uint64_t> NumFrontier = R.readVarint();

@@ -39,9 +39,9 @@ size_t firstAffectedLayer(const GssEngine &Eng,
     return (!Affected.empty() && Id >= Affected.back()) ||
            std::binary_search(Affected.begin(), Affected.end(), Id);
   };
-  const std::deque<GssLayerRecord> &Recs = Eng.records();
+  const GssRecords &Recs = Eng.records();
   for (size_t Layer = 0; Layer < Recs.size(); ++Layer)
-    for (const GssNode *Node : Recs[Layer].Nodes)
+    for (const GssNode *Node : Recs[Layer])
       if (Hit(Node))
         return Layer;
   // A suspended parse's pre-fixpoint frontier lives at position() and is

@@ -1,10 +1,15 @@
 //===- tests/glr/ForestTest.cpp - Shared packed forest tests --------------===//
 
+#include "common/Corpus.h"
 #include "common/TestGrammars.h"
 #include "glr/Forest.h"
 #include "glr/GlrParser.h"
 
 #include <gtest/gtest.h>
+
+#include <pthread.h>
+
+#include <functional>
 
 using namespace ipg;
 using namespace ipg::testing;
@@ -135,4 +140,96 @@ TEST(Forest, SharingShrinksNodeCount) {
 
   EXPECT_LT(Shared.numNodes(), Unshared.numNodes())
       << "packing must reduce forest size on ambiguous input";
+}
+
+namespace {
+
+/// Runs \p Fn on one thread whose stack is \p StackBytes, and joins it.
+bool runOnSmallStack(size_t StackBytes, std::function<void()> Fn) {
+  pthread_attr_t Attr;
+  if (pthread_attr_init(&Attr) != 0)
+    return false;
+  bool Ok = pthread_attr_setstacksize(&Attr, StackBytes) == 0;
+  pthread_t Thread;
+  Ok = Ok && pthread_create(
+                 &Thread, &Attr,
+                 [](void *Arg) -> void * {
+                   (*static_cast<std::function<void()> *>(Arg))();
+                   return nullptr;
+                 },
+                 &Fn) == 0;
+  pthread_attr_destroy(&Attr);
+  return Ok && pthread_join(Thread, nullptr) == 0;
+}
+
+/// Leaves under \p Root, counted without recursion.
+size_t leafCount(const TreeNode *Root) {
+  size_t Leaves = 0;
+  std::vector<const TreeNode *> Work{Root};
+  while (!Work.empty()) {
+    const TreeNode *Node = Work.back();
+    Work.pop_back();
+    if (Node->isLeaf())
+      ++Leaves;
+    for (const TreeNode *Child : Node->Children)
+      Work.push_back(Child);
+  }
+  return Leaves;
+}
+
+} // namespace
+
+// Forest depth must be bounded by memory, not by the walking thread's
+// stack: a 50k-element JSON list (a left-recursive Elements chain) and
+// 50k-deep array nesting are walked on a 256 KB stack.
+TEST(Forest, DeepForestsWalkOnASmallStack) {
+  Grammar G;
+  Expected<std::vector<CorpusCase>> Corpus = loadCorpusDir(IPG_CORPUS_DIR);
+  ASSERT_TRUE(Corpus);
+  bool Built = false;
+  for (const CorpusCase &Case : *Corpus)
+    if (Case.Name == "json")
+      Built = bool(Case.build(G));
+  ASSERT_TRUE(Built);
+  const SymbolId Open = G.symbols().lookup("[");
+  const SymbolId Close = G.symbols().lookup("]");
+  const SymbolId Comma = G.symbols().lookup(",");
+  const SymbolId Number = G.symbols().lookup("number");
+  constexpr size_t N = 50000;
+
+  std::vector<SymbolId> List{Open};
+  for (size_t I = 0; I < N; ++I) {
+    if (I != 0)
+      List.push_back(Comma);
+    List.push_back(Number);
+  }
+  List.push_back(Close);
+  std::vector<SymbolId> Nested(N, Open);
+  Nested.insert(Nested.end(), N, Close);
+
+  for (const std::vector<SymbolId> *Input : {&List, &Nested}) {
+    ItemSetGraph Graph(G);
+    GlrParser Parser(Graph);
+    Forest F;
+    GlrResult R = Parser.parse(*Input, F);
+    ASSERT_TRUE(R.Accepted);
+
+    uint64_t Trees = 0;
+    size_t FirstLeaves = 0, Enumerated = 0, EnumeratedLeaves = 0;
+    TreeArena Arena;
+    ASSERT_TRUE(runOnSmallStack(256 * 1024, [&] {
+      Trees = F.countTrees(R.Root);
+      if (const TreeNode *T = F.firstTree(R.Root, Arena))
+        FirstLeaves = leafCount(T);
+      std::vector<TreeNode *> Out;
+      F.enumerateTrees(R.Root, 1, Arena, Out);
+      Enumerated = Out.size();
+      if (!Out.empty())
+        EnumeratedLeaves = leafCount(Out.front());
+    }));
+    EXPECT_EQ(Trees, 1u);
+    EXPECT_EQ(FirstLeaves, Input->size());
+    EXPECT_EQ(Enumerated, 1u);
+    EXPECT_EQ(EnumeratedLeaves, Input->size());
+  }
 }

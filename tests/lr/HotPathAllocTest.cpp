@@ -13,6 +13,9 @@
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 #include "lr/ItemSetGraph.h"
+#include "sdf/Samples.h"
+#include "sdf/SdfLanguage.h"
+#include "sdf/SdfLexer.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -292,6 +295,36 @@ TEST(HotPathAlloc, MaterializingActionsIntoAVectorAllocates) {
   EXPECT_GT(Allocs, 0ull);
   volatile uintptr_t Guard = Sink; // Keep the queries observable.
   (void)Guard;
+}
+
+// The parse side's storage contract: once the table is warm and the
+// engine's pools have seen a parse of this size, Ipg::parse into a fresh
+// Forest allocates only for the forest's own pools (a few geometric
+// chunks each), never per token, node or reduction.
+TEST(HotPathAlloc, WarmSdfParseIntoFreshForestMakesConstantAllocations) {
+  SdfLanguage Lang;
+  Scanner Lexer;
+  configureSdfScanner(Lexer);
+  Ipg Gen(Lang.grammar());
+  std::vector<std::vector<SymbolId>> Inputs;
+  for (const SdfSample &Sample : sdfSamples()) {
+    Expected<std::vector<SymbolId>> Tokens =
+        Lexer.tokenizeToSymbols(Sample.Text, Lang.grammar());
+    ASSERT_TRUE(Tokens) << Sample.Name;
+    Inputs.push_back(Tokens.take());
+    Forest F;
+    ASSERT_TRUE(Gen.parse(Inputs.back(), F).Accepted) << Sample.Name;
+  }
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    bool Accepted = false;
+    unsigned long long Allocs = allocationsDuring([&] {
+      Forest F;
+      Accepted = Gen.parse(Inputs[I], F).Accepted;
+    });
+    EXPECT_TRUE(Accepted);
+    EXPECT_LE(Allocs, 64ull)
+        << sdfSamples()[I].Name << " (" << Inputs[I].size() << " tokens)";
+  }
 }
 
 } // namespace
