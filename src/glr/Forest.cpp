@@ -152,17 +152,67 @@ void Forest::indexRestored(ForestNode *Node) {
   insert(spanHash(Node->Sym, Node->Start, Node->End, Node->IsToken), Node);
 }
 
+void Forest::eraseEntry(uint64_t Hash, const ForestNode *Node) {
+  if (Index.empty())
+    return;
+  const size_t Mask = Index.size() - 1;
+  for (size_t I = Hash & Mask; Index[I].Node != nullptr; I = (I + 1) & Mask)
+    if (Index[I].Node == Node) {
+      eraseSlot(I);
+      return;
+    }
+}
+
+void Forest::rekey(ForestNode *Node, uint32_t Start, uint32_t End) {
+  assert((PackNodes || Node->IsToken) && "unpacked nodes are keyed by content");
+  // A lookup may already have erased the old entry as invalid.
+  eraseEntry(spanHash(Node->Sym, Node->Start, Node->End, Node->IsToken),
+             Node);
+  Node->Start = Start;
+  Node->End = End;
+  Node->Epoch = CurEpoch;
+  insert(spanHash(Node->Sym, Start, End, Node->IsToken), Node);
+}
+
+void Forest::dropDuplicateAlternatives(ForestNode *Node) {
+  ForestNode::AltList &L = Node->Alts;
+  if (L.Count < 2)
+    return;
+  ForestNode::Alternative *Prev = L.Head;
+  while (ForestNode::Alternative *Alt = Prev->Next) {
+    bool Duplicate = false;
+    for (const ForestNode::Alternative *A = L.Head; A != Alt && !Duplicate;
+         A = A->Next)
+      Duplicate = A->Rule == Alt->Rule && sameChildren(A->Children,
+                                                       Alt->Children);
+    if (!Duplicate) {
+      Prev = Alt;
+      continue;
+    }
+    Prev->Next = Alt->Next;
+    if (L.Tail == Alt)
+      L.Tail = Prev;
+    --L.Count;
+    --TotalAlternatives;
+    --PackedAmbiguities;
+  }
+}
+
+ForestNode *Forest::findToken(SymbolId Sym, uint32_t Index) {
+  return lookup(spanHash(Sym, Index, Index + 1, /*IsToken=*/true),
+                [&](const ForestNode *N) {
+                  return N->Sym == Sym && N->Start == Index && N->IsToken;
+                });
+}
+
 ForestNode *Forest::token(SymbolId Sym, uint32_t Index) {
-  const uint64_t Hash = spanHash(Sym, Index, Index + 1, /*IsToken=*/true);
-  ForestNode *Node = lookup(Hash, [&](const ForestNode *N) {
-    return N->Sym == Sym && N->Start == Index && N->IsToken;
-  });
+  ForestNode *Node = findToken(Sym, Index);
   if (Node != nullptr) {
     Node->Epoch = CurEpoch;
     return Node;
   }
   Node = make(Sym, Index, Index + 1, /*IsToken=*/true);
-  insert(Hash, Node);
+  insert(spanHash(Sym, Index, Index + 1, /*IsToken=*/true), Node);
   return Node;
 }
 

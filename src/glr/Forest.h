@@ -17,13 +17,14 @@
 ///
 /// The packing index is one open-addressed table keyed by (symbol, start,
 /// end, is-token). Entries with the same key stay in insertion order, and
-/// a lookup returns the *first valid* hit (see beginEpoch): the graft and
-/// the suspended-parse decoder rely on that order to find the node they
-/// published first. A lookup erases every invalid entry it meets with a
-/// matching key hash. Invalidity is permanent — the epoch only grows and
-/// the watermark only shrinks — so such an entry could never be returned
-/// again, and erasing it keeps an edited document's lookups from walking
-/// its edit history.
+/// a lookup returns the *first valid* hit (see beginEpoch): the graft
+/// (moveNode) and the suspended-parse decoder rely on that order to find
+/// the node they published first. A lookup erases every invalid entry it
+/// meets with a matching key hash. Invalidity is permanent — the epoch
+/// only grows, the watermark only shrinks, and moveNode() erases a node's
+/// old entry before it revives the node under a new key — so such an
+/// entry could never be returned again, and erasing it keeps an edited
+/// document's lookups from walking its edit history.
 ///
 /// Cyclic grammars (A ⇒+ A) produce cyclic forests; the counting and
 /// extraction helpers saturate/skip cycles instead of diverging. They run
@@ -178,18 +179,44 @@ public:
   uint32_t epoch() const { return CurEpoch; }
 
   /// Creates a node bypassing the packing lookup — the suspended-parse
-  /// deserializer and the bounded re-parse's forest graft rebuild nodes
-  /// 1:1 and must keep intentionally-distinct duplicates distinct. The
-  /// node is NOT put in the packing index; call indexRestored() once it
-  /// is complete (a graft that aborts midway must leave no half-built
-  /// node where a later packing lookup could find it). Alternatives are
-  /// attached with addAlternative().
+  /// decoder rebuilds nodes 1:1 and must keep intentionally-distinct
+  /// duplicates distinct. The node is NOT put in the packing index; call
+  /// indexRestored() to publish it. Alternatives are attached with
+  /// addAlternative().
   ForestNode *restoreNode(SymbolId Sym, uint32_t Start, uint32_t End,
                           bool IsToken);
 
   /// Publishes a restoreNode()d node to the packing index (stamped with
   /// the current epoch) so subsequent derivations pack onto it.
   void indexRestored(ForestNode *Node);
+
+  /// The valid token node for input position \p Index, or null. Never
+  /// creates one.
+  ForestNode *findToken(SymbolId Sym, uint32_t Index);
+
+  /// Moves \p Node to [\p Start, \p End) in place — the bounded
+  /// re-parse's graft, which shifts the old suffix forest into the new
+  /// coordinates instead of copying it. Each child C of each alternative
+  /// becomes \p Retarget(C); an alternative that thereby equals an
+  /// earlier one of the node is dropped, as addAlternative() would. The
+  /// node then leaves the packing index under its old key and re-enters
+  /// it under the new one, stamped with the current epoch, so later
+  /// derivations pack onto it (after any node already published under
+  /// that key). Packing forests only: an unpacked node's key is its
+  /// content.
+  template <typename RetargetT>
+  void moveNode(ForestNode *Node, uint32_t Start, uint32_t End,
+                RetargetT &&Retarget) {
+    for (ForestNode::Alternative *Alt = Node->Alts.Head; Alt != nullptr;
+         Alt = Alt->Next) {
+      // The child span lives in ChildPool, which the forest owns.
+      ForestNode **Kids = const_cast<ForestNode **>(Alt->Children.data());
+      for (size_t I = 0; I < Alt->Children.size(); ++I)
+        Kids[I] = Retarget(Kids[I]);
+    }
+    dropDuplicateAlternatives(Node);
+    rekey(Node, Start, End);
+  }
 
   /// Visits all nodes ever made, in creation order (serialization walk).
   template <typename FnT> void forEachNode(FnT &&Fn) const {
@@ -198,6 +225,10 @@ public:
 
 private:
   ForestNode *make(SymbolId Sym, uint32_t Start, uint32_t End, bool IsToken);
+  /// Unlinks every alternative of \p Node equal to an earlier one.
+  void dropDuplicateAlternatives(ForestNode *Node);
+  /// Re-files \p Node in the packing index under [Start, End).
+  void rekey(ForestNode *Node, uint32_t Start, uint32_t End);
   /// Appends an alternative without the duplicate check.
   void appendAlternative(ForestNode *Node, RuleId Rule,
                          ArrayView<ForestNode *> Children);
@@ -219,6 +250,8 @@ private:
   /// the invalid same-hash entries met on the way; null when none.
   template <typename MatchT> ForestNode *lookup(uint64_t Hash, MatchT &&Match);
   void insert(uint64_t Hash, ForestNode *Node);
+  /// Erases \p Node's entry under \p Hash, if it is still there.
+  void eraseEntry(uint64_t Hash, const ForestNode *Node);
   void eraseSlot(size_t I);
   void growIndex();
 

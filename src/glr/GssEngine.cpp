@@ -22,14 +22,14 @@ MetricCounter &gssNodeCounter() {
 GssNode *GssEngine::newNode(ItemSet *State, uint32_t Layer) {
   ++Result.GssNodes;
   gssNodeCounter().bump();
-  return NodePool.make(State, Layer, /*Processed=*/false);
+  return NodePool.make(State, Layer, nextNodeId(), /*Processed=*/false);
 }
 
 GssNode *GssEngine::restoreNode(ItemSet *State, uint32_t Layer,
                                 bool Processed) {
   // Deserialization rebuild: not a construction the incremental-evidence
   // metric should see.
-  return NodePool.make(State, Layer, Processed);
+  return NodePool.make(State, Layer, nextNodeId(), Processed);
 }
 
 void GssEngine::addEdge(GssNode *Node, GssNode *Back, ForestNode *Deriv) {

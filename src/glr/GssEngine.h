@@ -45,6 +45,7 @@
 #include "support/ArrayView.h"
 #include "support/ChunkPool.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -117,14 +118,19 @@ struct GssNode {
     uint32_t Count = 0;
   };
 
-  GssNode(ItemSet *State, uint32_t Layer, bool Processed)
-      : State(State), Layer(Layer), Processed(Processed) {}
+  GssNode(ItemSet *State, uint32_t Layer, uint32_t Id, bool Processed)
+      : State(State), Layer(Layer), Id(Id), Processed(Processed) {}
   GssNode(const GssNode &) = delete; // Edges.Tail may point into the node.
   GssNode &operator=(const GssNode &) = delete;
 
   ItemSet *State;
   uint32_t Layer;
-  bool Processed = false;
+  /// Dense creation index within the owning engine's arena: 0, 1, 2, ...
+  /// since the last begin()/beginRestore(). Keys the bounded re-parse's
+  /// per-node maps. It shares a word with Processed, which keeps the
+  /// node at 56 bytes.
+  uint32_t Id : 31;
+  bool Processed : 1;
   EdgeList Edges;
 
   bool hasEdge(const GssNode *Back, const ForestNode *Deriv) const {
@@ -245,7 +251,8 @@ public:
   /// set was tombstoned), in which case the parse cannot migrate.
   bool rebindGraph(ItemSetGraph &New);
 
-  /// Arena node count (live + abandoned branches) — observability only.
+  /// Arena node count (live + abandoned branches); every GssNode::Id is
+  /// below it.
   size_t numArenaNodes() const { return NodePool.size(); }
 
   /// The live frontier — post-shift (pre-fixpoint) nodes of layer
@@ -295,6 +302,10 @@ private:
   };
 
   GssNode *newNode(ItemSet *State, uint32_t Layer);
+  uint32_t nextNodeId() const {
+    assert(NodePool.size() < (size_t(1) << 31) && "GssNode::Id overflow");
+    return static_cast<uint32_t>(NodePool.size());
+  }
   /// Makes \p Node the current layer's holder of its state.
   void putInLayer(GssNode *Node, uint64_t Stamp);
   void runFixpoint(SymbolId Token);

@@ -143,6 +143,7 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
     Stats.ResumedAt = Resume;
   }
   Dmg = Damage();
+  const size_t Forest0 = F.numNodes();
 
   bool Grafted = false;
   bool Dead = false;
@@ -185,10 +186,11 @@ void ParseDocument::run(size_t UpTo, bool Finish) {
     Stats.ConvergedAt = Engine.position();
   }
   Stats.GssNodesConstructed = Engine.result().GssNodes - Nodes0;
+  Stats.ForestNodesCreated = F.numNodes() - Forest0;
 }
 
 //===----------------------------------------------------------------------===//
-// Convergence: precheck, isomorphism walk, forest rebuild, graft.
+// Convergence: precheck, isomorphism walk, suffix forest plan, graft.
 //===----------------------------------------------------------------------===//
 
 bool ParseDocument::tryConverge(size_t Q, size_t P, size_t ResumeLayer,
@@ -203,28 +205,26 @@ bool ParseDocument::tryConverge(size_t Q, size_t P, size_t ResumeLayer,
     if (OldRec[I]->State != NewRec[I]->State)
       return false;
 
-  SeamMaps Maps;
-  if (!isoWalk(OldRec, NewRec, ResumeLayer, Maps)) {
+  if (!isoWalk(OldRec, NewRec, ResumeLayer)) {
     ++Stats.IsoWalkFailures;
     return false;
   }
 
-  // The suffix is old layers P+1..OldN. A forest mapping that finds a
-  // violated assumption leaves it untouched, so a later layer can still
-  // try.
+  // The suffix is old layers P+1..OldN. A plan that finds a violated
+  // assumption has changed nothing, so a later layer can still try.
   const size_t First = P - ResumeLayer;
-  std::unordered_map<ForestNode *, ForestNode *> ForestMemo;
-  if (!rebuildSuffixForest(First, P, D, Maps, ForestMemo))
+  if (!planSuffixForest(First, P, D))
     return false;
 
-  graft(First, D, Maps, ForestMemo);
+  graft(First, D);
   return true;
 }
 
 bool ParseDocument::isoWalk(ArrayView<GssNode *> OldRec,
-                            ArrayView<GssNode *> NewRec, size_t ResumeLayer,
-                            SeamMaps &Maps) const {
-  std::vector<std::pair<GssNode *, GssNode *>> Work;
+                            ArrayView<GssNode *> NewRec, size_t ResumeLayer) {
+  Seam.Phi.clear(Engine.numArenaNodes());
+  Seam.Psi.clear(F.numNodes());
+  IsoWork.clear();
 
   // Pairs O with N; false on any structural disagreement. Nodes at or
   // below the resume layer are shared between the parses, so there the
@@ -234,13 +234,12 @@ bool ParseDocument::isoWalk(ArrayView<GssNode *> OldRec,
       return true;
     if (O->Layer <= ResumeLayer || N->Layer <= ResumeLayer)
       return false;
-    auto It = Maps.Phi.find(O);
-    if (It != Maps.Phi.end())
-      return It->second == N;
+    if (GssNode *const *Mapped = Seam.Phi.find(O->Id))
+      return *Mapped == N;
     if (O->State != N->State || O->Edges.size() != N->Edges.size())
       return false;
-    Maps.Phi.emplace(O, N);
-    Work.push_back({O, N});
+    Seam.Phi.insert(O->Id) = N;
+    IsoWork.push_back({O, N});
     return true;
   };
 
@@ -252,9 +251,9 @@ bool ParseDocument::isoWalk(ArrayView<GssNode *> OldRec,
   // is deterministic in the reachable stack, so truly converged parses
   // produce edges in the same order, and any order mismatch is a real
   // structural difference (or close enough — failing is always sound).
-  while (!Work.empty()) {
-    auto [O, N] = Work.back();
-    Work.pop_back();
+  while (!IsoWork.empty()) {
+    auto [O, N] = IsoWork.back();
+    IsoWork.pop_back();
     auto ItN = N->Edges.begin();
     for (const GssNode::Edge &EO : O->Edges) {
       const GssNode::Edge &EN = *ItN;
@@ -262,119 +261,129 @@ bool ParseDocument::isoWalk(ArrayView<GssNode *> OldRec,
       if (!Pair(EO.Back, EN.Back))
         return false;
       if (EO.Deriv != EN.Deriv) {
-        auto [It, Inserted] = Maps.Psi.try_emplace(EO.Deriv, EN.Deriv);
-        if (!Inserted && It->second != EN.Deriv)
-          return false;
+        if (ForestNode *const *Mapped = Seam.Psi.find(EO.Deriv->Id)) {
+          if (*Mapped != EN.Deriv)
+            return false;
+        } else {
+          Seam.Psi.insert(EO.Deriv->Id) = EN.Deriv;
+        }
       }
     }
   }
   return true;
 }
 
-bool ParseDocument::rebuildSuffixForest(
-    size_t First, size_t OldLayer, const Damage &D, SeamMaps &Maps,
-    std::unordered_map<ForestNode *, ForestNode *> &ForestMemo) {
+bool ParseDocument::planSuffixForest(size_t First, size_t OldLayer,
+                                     const Damage &D) {
   const auto DamageStart = static_cast<uint32_t>(D.Start);
   const auto OldDamageEnd = static_cast<uint32_t>(
       static_cast<std::ptrdiff_t>(D.EndNew) - D.Delta);
-  constexpr uint32_t NoHint = ~0u;
-  std::vector<ForestNode *> Created;
+  auto Shift = [&](uint32_t X) {
+    return static_cast<uint32_t>(static_cast<std::ptrdiff_t>(X) + D.Delta);
+  };
+  Plan.clear(F.numNodes());
+  TokenAt.clear(Tokens.size() + 1);
+  Moved.clear();
+  PlanStack.clear();
 
-  // Maps one old forest node into the new coordinate system. StartHint
-  // resolves the one underdetermined case: a span that *starts* inside
-  // the damage gets its new start from context (the re-pointed stack
-  // node below its edge, or the preceding sibling's end).
-  auto MapNode = [&](auto &&Self, ForestNode *Old,
-                     uint32_t StartHint) -> ForestNode * {
-    if (auto It = ForestMemo.find(Old); It != ForestMemo.end())
-      return It->second;
-    if (auto It = Maps.Psi.find(Old); It != Maps.Psi.end()) {
-      ForestMemo.emplace(Old, It->second);
-      return It->second;
-    }
-    if (Old->End <= DamageStart) {
+  // Places one old node (null when an assumption fails). A node the graft
+  // moves gets its final span here, before its children are placed, so
+  // a cyclic forest meets a finished placement when it comes back round.
+  // StartHint resolves the one underdetermined case: a span that *starts*
+  // inside the damage takes its new start from context (the re-pointed
+  // stack node below its edge, or the preceding sibling's end).
+  auto Place = [&](ForestNode *Old, uint32_t StartHint) -> const Placement * {
+    if (const Placement *Done = Plan.find(Old->Id))
+      return Done;
+    Placement &P = Plan.insert(Old->Id);
+    if (ForestNode *const *SeamNode = Seam.Psi.find(Old->Id)) {
+      P = {*SeamNode, (*SeamNode)->Start, (*SeamNode)->End};
+    } else if (Old->End <= DamageStart) {
       // Entirely inside the unchanged prefix: still true of the new
-      // buffer, reuse outright.
-      ForestMemo.emplace(Old, Old);
-      return Old;
-    }
-    if (Old->IsToken) {
+      // buffer, kept as it is.
+      P = {Old, Old->Start, Old->End};
+    } else if (Old->IsToken) {
       if (Old->Start < OldDamageEnd)
         return nullptr; // A damaged token outside the seam map.
-      ForestNode *T = F.token(
-          Old->Sym, static_cast<uint32_t>(
-                        static_cast<std::ptrdiff_t>(Old->Start) + D.Delta));
-      ForestMemo.emplace(Old, T);
-      return T;
-    }
-    if (Old->End < OldDamageEnd)
-      return nullptr; // Overlaps the damage but was not seam-mapped.
-    uint32_t NS;
-    if (Old->Start <= DamageStart)
-      NS = Old->Start;
-    else if (Old->Start >= OldDamageEnd)
-      NS = static_cast<uint32_t>(static_cast<std::ptrdiff_t>(Old->Start) +
-                                 D.Delta);
-    else if (StartHint != NoHint)
-      NS = StartHint;
-    else
-      return nullptr;
-    const auto NE = static_cast<uint32_t>(
-        static_cast<std::ptrdiff_t>(Old->End) + D.Delta);
-    ForestNode *NN = F.restoreNode(Old->Sym, NS, NE, /*IsToken=*/false);
-    Created.push_back(NN);
-    // Memoize before the children: cyclic forests terminate against the
-    // shell, whose span is already final.
-    ForestMemo.emplace(Old, NN);
-    for (const ForestNode::Alternative &Alt : Old->Alts) {
-      std::vector<ForestNode *> Kids;
-      Kids.reserve(Alt.Children.size());
-      uint32_t Cur = NS; // Children tile the parent span left to right.
-      for (ForestNode *C : Alt.Children) {
-        ForestNode *MC = Self(Self, C, Cur);
-        if (MC == nullptr)
-          return nullptr;
-        Kids.push_back(MC);
-        Cur = MC->End;
+      // One token node per position: the re-stepped one, or the first
+      // old token moved there.
+      const uint32_t At = Shift(Old->Start);
+      ForestNode *T;
+      if (ForestNode *const *Claimed = TokenAt.find(At)) {
+        T = *Claimed;
+      } else if ((T = F.findToken(Old->Sym, At)) == nullptr) {
+        T = Old;
+        Moved.push_back(Old);
       }
-      F.addAlternative(NN, Alt.Rule, Kids);
+      TokenAt.insert(At) = T;
+      P = {T, At, At + 1};
+    } else {
+      if (Old->End < OldDamageEnd)
+        return nullptr; // Overlaps the damage but was not seam-mapped.
+      uint32_t NS;
+      if (Old->Start <= DamageStart)
+        NS = Old->Start;
+      else if (Old->Start >= OldDamageEnd)
+        NS = Shift(Old->Start);
+      else
+        NS = StartHint;
+      P = {Old, NS, Shift(Old->End)};
+      Moved.push_back(Old);
+      PlanStack.push_back(PlanFrame{Old->Alts.first(), 0, NS, NS});
     }
-    return NN;
+    return &P;
   };
 
   for (size_t K = First; K < OldTail.size(); ++K)
     for (GssNode *Nd : OldTail[K])
       for (const GssNode::Edge &E : Nd->Edges) {
         uint32_t Hint;
-        if (auto It = Maps.Phi.find(E.Back); It != Maps.Phi.end())
-          Hint = It->second->Layer;
+        if (GssNode *const *Mapped = Seam.Phi.find(E.Back->Id))
+          Hint = (*Mapped)->Layer;
         else if (E.Back->Layer > OldLayer)
-          Hint = static_cast<uint32_t>(
-              static_cast<std::ptrdiff_t>(E.Back->Layer) + D.Delta);
+          Hint = Shift(E.Back->Layer);
         else
           Hint = E.Back->Layer; // Shared prefix node keeps its layer.
-        if (MapNode(MapNode, E.Deriv, Hint) == nullptr)
+        if (Place(E.Deriv, Hint) == nullptr)
           return false;
+        // Depth-first over the moved nodes' children, on an explicit
+        // stack: forest depth is bounded by memory, not the thread's
+        // stack.
+        while (!PlanStack.empty()) {
+          PlanFrame &Fr = PlanStack.back();
+          if (Fr.Alt == nullptr) {
+            PlanStack.pop_back();
+          } else if (Fr.Child == Fr.Alt->Children.size()) {
+            Fr.Alt = Fr.Alt->Next;
+            Fr.Child = 0;
+            Fr.Cur = Fr.Start; // Children tile the parent span.
+          } else {
+            const size_t Depth = PlanStack.size();
+            const Placement *C =
+                Place(Fr.Alt->Children[Fr.Child++], Fr.Cur);
+            if (C == nullptr)
+              return false;
+            PlanStack[Depth - 1].Cur = C->End; // Place() may have pushed.
+          }
+        }
       }
-
-  // Publish only now, when no assumption can fail anymore: half-built
-  // nodes must never become packing targets.
-  for (ForestNode *NN : Created)
-    F.indexRestored(NN);
   return true;
 }
 
-void ParseDocument::graft(
-    size_t First, const Damage &D, SeamMaps &Maps,
-    std::unordered_map<ForestNode *, ForestNode *> &ForestMemo) {
+void ParseDocument::graft(size_t First, const Damage &D) {
+  auto Target = [&](ForestNode *Old) { return Plan.find(Old->Id)->Target; };
+  for (ForestNode *Node : Moved) {
+    const Placement &P = *Plan.find(Node->Id);
+    F.moveNode(Node, P.Start, P.End, Target);
+  }
   for (size_t K = First; K < OldTail.size(); ++K)
     for (GssNode *Nd : OldTail[K]) {
       Nd->Layer = static_cast<uint32_t>(
           static_cast<std::ptrdiff_t>(Nd->Layer) + D.Delta);
       for (GssNode::Edge &E : Nd->Edges) {
-        if (auto It = Maps.Phi.find(E.Back); It != Maps.Phi.end())
-          E.Back = It->second;
-        E.Deriv = ForestMemo.at(E.Deriv);
+        if (GssNode *const *Mapped = Seam.Phi.find(E.Back->Id))
+          E.Back = *Mapped;
+        E.Deriv = Target(E.Deriv);
       }
     }
   Engine.adoptTail(OldTail, First, Tokens.size());

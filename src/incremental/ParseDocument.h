@@ -24,10 +24,15 @@
 ///    per-layer state-id precheck followed by a full structural
 ///    isomorphism walk over the damage region, then *grafts*: the old
 ///    parse's suffix layers are adopted wholesale (layers shifted by
-///    Delta, seam edges re-pointed through the isomorphism, forest
-///    derivations rebuilt 1:1 into the new coordinate system) and the
-///    parse finishes without ever stepping the suffix. Work is bounded
-///    by the damage, not the document.
+///    Delta, seam edges re-pointed through the isomorphism) and the
+///    parse finishes without ever stepping the suffix. The suffix forest
+///    moves with them, in place: a read-only plan places every old node
+///    reachable from the suffix edges, and only if the whole plan holds
+///    does the commit shift the nodes' spans, re-point their children
+///    and re-file them in the packing index. Stepping is bounded by the
+///    damage, not the document. The graft itself still visits each
+///    suffix node once, since absolute spans shift by Delta, but it
+///    creates no node and, on a warm session, allocates nothing.
 ///
 /// Anything that violates a graft assumption falls back — first to
 /// continuing the re-step to the end of input (still reusing the prefix),
@@ -47,8 +52,9 @@
 #include "glr/GssEngine.h"
 #include "support/TokenView.h"
 
+#include <cassert>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ipg {
@@ -77,6 +83,10 @@ struct ReparseStats {
   /// Convergence prechecks that matched state-id sequences but failed the
   /// structural isomorphism walk (diagnosis counter).
   uint64_t IsoWalkFailures = 0;
+  /// Forest nodes this reparse made. A graft moves the old suffix forest
+  /// into place and makes none for it, so this too is bounded by the
+  /// damage.
+  uint64_t ForestNodesCreated = 0;
 };
 
 /// An editable token buffer married to a resumable GLR parse of it.
@@ -184,12 +194,65 @@ private:
     bool Automaton = false;
   };
 
+  /// A dense id -> V map for one convergence attempt. clear() forgets
+  /// every entry in O(1) by advancing a generation stamp; the storage is
+  /// kept across attempts and re-parses, so a warm session's attempts
+  /// allocate nothing.
+  template <typename V> class StampedMap {
+  public:
+    /// Forgets every entry and makes ids below \p Bound addressable.
+    void clear(size_t Bound) {
+      if (++Gen == 0) { // Wrapped: old stamps could alias the new one.
+        for (Entry &E : Slots)
+          E.Gen = 0;
+        Gen = 1;
+      }
+      if (Slots.size() < Bound)
+        Slots.resize(Bound);
+    }
+    const V *find(uint32_t Id) const {
+      assert(Id < Slots.size() && "id past the bound given to clear()");
+      return Slots[Id].Gen == Gen ? &Slots[Id].Value : nullptr;
+    }
+    V &insert(uint32_t Id) {
+      assert(Id < Slots.size() && "id past the bound given to clear()");
+      Slots[Id].Gen = Gen;
+      return Slots[Id].Value;
+    }
+
+  private:
+    struct Entry {
+      uint32_t Gen = 0;
+      V Value{};
+    };
+    std::vector<Entry> Slots;
+    uint32_t Gen = 0;
+  };
+
   /// The isomorphism the convergence walk proves: old damage-region GSS
-  /// nodes to their new counterparts, old seam forest derivations to the
-  /// re-stepped ones.
+  /// nodes to their new counterparts (keyed by GssNode::Id), old seam
+  /// forest derivations to the re-stepped ones (keyed by ForestNode::Id).
   struct SeamMaps {
-    std::unordered_map<GssNode *, GssNode *> Phi;
-    std::unordered_map<ForestNode *, ForestNode *> Psi;
+    StampedMap<GssNode *> Phi;
+    StampedMap<ForestNode *> Psi;
+  };
+
+  /// Where the graft puts one old forest node: Target over [Start, End)
+  /// in the new buffer. Target is the node itself when the graft moves it
+  /// (or, inside the unchanged prefix, keeps it), otherwise the node that
+  /// replaces it.
+  struct Placement {
+    ForestNode *Target;
+    uint32_t Start;
+    uint32_t End;
+  };
+
+  /// One node of the plan walk whose children are still being placed.
+  struct PlanFrame {
+    const ForestNode::Alternative *Alt;
+    uint32_t Child;
+    uint32_t Start; ///< The node's new start: each alternative's origin.
+    uint32_t Cur;   ///< Where the next child starts (children tile).
   };
 
   void noteEdit(size_t Begin, size_t End, size_t NewLen);
@@ -201,35 +264,31 @@ private:
 
   /// One convergence attempt at new layer \p Q against old layer \p P
   /// (OldTail[P - ResumeLayer - 1]): state-id precheck, isomorphism walk,
-  /// forest rebuild, graft. True when the graft committed (the engine
+  /// suffix forest plan, graft. True when the graft committed (the engine
   /// then holds the full stack).
   bool tryConverge(size_t Q, size_t P, size_t ResumeLayer, const Damage &D);
 
   /// Structural isomorphism between the old frontier record \p OldRec
   /// and the new frontier record \p NewRec, walking the damage region
   /// down to pointer-shared prefix nodes (layer <= ResumeLayer). Fills
-  /// \p Maps; false on any mismatch.
+  /// Seam; false on any mismatch.
   bool isoWalk(ArrayView<GssNode *> OldRec, ArrayView<GssNode *> NewRec,
-               size_t ResumeLayer, SeamMaps &Maps) const;
+               size_t ResumeLayer);
 
-  /// Rebuilds the old suffix forest into new coordinates: every
-  /// derivation on the edges of the suffix layers OldTail[First..] is
-  /// mapped — identity inside the unchanged prefix, psi across the seam,
-  /// a 1:1 restoreNode rebuild (spans shifted by Delta) elsewhere.
-  /// \p OldLayer is the old-side convergence layer (the suffix covers
-  /// OldLayer+1 onward). On success the rebuilt nodes are published to
-  /// the packing index; on failure nothing reachable was created and the
-  /// graft is abandoned.
-  bool rebuildSuffixForest(size_t First, size_t OldLayer, const Damage &D,
-                           SeamMaps &Maps,
-                           std::unordered_map<ForestNode *, ForestNode *>
-                               &ForestMemo);
+  /// Plans the move of the old suffix forest into new coordinates without
+  /// changing anything: every derivation on the edges of the suffix layers
+  /// OldTail[First..] gets a Placement — itself inside the unchanged
+  /// prefix, psi across the seam, the re-stepped token where one already
+  /// holds the shifted position, otherwise itself with its span shifted
+  /// by Delta (such nodes are listed in Moved). \p OldLayer is the
+  /// old-side convergence layer (the suffix covers OldLayer+1 onward).
+  /// False when an assumption fails; a later layer can then still try.
+  bool planSuffixForest(size_t First, size_t OldLayer, const Damage &D);
 
-  /// Commits the graft: fixes the suffix layers OldTail[First..] up in
-  /// place (layers shifted, edges re-pointed through phi/the forest memo)
-  /// and hands them to the engine.
-  void graft(size_t First, const Damage &D, SeamMaps &Maps,
-             std::unordered_map<ForestNode *, ForestNode *> &ForestMemo);
+  /// Commits a planned graft: moves the Moved forest nodes in place, fixes
+  /// the suffix layers OldTail[First..] up (layers shifted, edges
+  /// re-pointed through phi and the plan) and hands them to the engine.
+  void graft(size_t First, const Damage &D);
 
   std::vector<SymbolId> Tokens;
   GssEngine Engine;
@@ -237,6 +296,13 @@ private:
   /// The previous parse's records past the resume layer while a bounded
   /// re-parse probes for convergence (storage reused across re-parses).
   GssRecords OldTail;
+  // Convergence scratch, reused across attempts and re-parses.
+  SeamMaps Seam;
+  std::vector<std::pair<GssNode *, GssNode *>> IsoWork;
+  StampedMap<Placement> Plan; ///< Keyed by old ForestNode::Id.
+  StampedMap<ForestNode *> TokenAt; ///< Moved token by new position.
+  std::vector<ForestNode *> Moved;
+  std::vector<PlanFrame> PlanStack;
   ParseState State = ParseState::Idle;
   Damage Dmg;
   GlrResult LastResult;

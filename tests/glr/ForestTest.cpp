@@ -1,15 +1,12 @@
 //===- tests/glr/ForestTest.cpp - Shared packed forest tests --------------===//
 
 #include "common/Corpus.h"
+#include "common/SmallStack.h"
 #include "common/TestGrammars.h"
 #include "glr/Forest.h"
 #include "glr/GlrParser.h"
 
 #include <gtest/gtest.h>
-
-#include <pthread.h>
-
-#include <functional>
 
 using namespace ipg;
 using namespace ipg::testing;
@@ -52,6 +49,63 @@ TEST(Forest, AddAlternativeDeduplicates) {
   EXPECT_EQ(N->Alts.size(), 2u);
   EXPECT_TRUE(N->isAmbiguous());
   EXPECT_EQ(F.numPackedAmbiguities(), 1u);
+}
+
+// The bounded re-parse's graft moves old nodes to shifted spans in place:
+// lookups must find them under the new key only, stamped valid for the
+// current epoch.
+TEST(Forest, MoveNodeRekeysInPlace) {
+  Forest F;
+  ForestNode *T = F.token(7, 3);
+  ForestNode *N = F.nonterminal(9, 3, 4);
+  ASSERT_TRUE(F.addAlternative(N, 0, {T}));
+  F.beginEpoch(0); // An edit at 0 invalidates both.
+  EXPECT_EQ(F.findToken(7, 3), nullptr);
+
+  auto Same = [](ForestNode *C) { return C; };
+  F.moveNode(T, 5, 6, Same);
+  F.moveNode(N, 5, 6, Same);
+  EXPECT_EQ(T->Start, 5u);
+  EXPECT_EQ(N->End, 6u);
+  EXPECT_EQ(F.findToken(7, 5), T);
+  EXPECT_EQ(F.token(7, 5), T);
+  EXPECT_EQ(F.nonterminal(9, 5, 6), N);
+  EXPECT_EQ(F.findToken(7, 3), nullptr);
+  EXPECT_NE(F.nonterminal(9, 3, 4), N);
+  ASSERT_EQ(N->Alts.size(), 1u);
+  EXPECT_EQ(N->Alts.first()->Children[0], T);
+}
+
+// Re-pointing can make two alternatives identical: two old seam
+// derivations map to one re-stepped node. The move drops the later one,
+// as addAlternative() would have.
+TEST(Forest, MoveNodeDropsAlternativesThatBecomeIdentical) {
+  Forest F;
+  // Structurally identical children: the second is made after an edit
+  // invalidated the first, as a re-parse does.
+  ForestNode *C1 = F.nonterminal(3, 2, 4);
+  F.beginEpoch(2);
+  ForestNode *C2 = F.nonterminal(3, 2, 4);
+  ASSERT_NE(C1, C2);
+  ForestNode *N = F.nonterminal(2, 2, 4);
+  ASSERT_TRUE(F.addAlternative(N, 0, {C1}));
+  ASSERT_TRUE(F.addAlternative(N, 1, {C1}));
+  ASSERT_TRUE(F.addAlternative(N, 0, {C2}));
+  ASSERT_EQ(F.numAlternatives(), 3u);
+
+  F.moveNode(N, 2, 4, [&](ForestNode *C) { return C == C1 ? C2 : C; });
+  EXPECT_EQ(N->Alts.size(), 2u);
+  EXPECT_EQ(F.numAlternatives(), 2u);
+  EXPECT_FALSE(F.addAlternative(N, 0, {C2}));
+  // The list stays well formed: a new alternative lands at the end.
+  ASSERT_TRUE(F.addAlternative(N, 2, {C2}));
+  std::vector<RuleId> Rules;
+  for (const ForestNode::Alternative &Alt : N->Alts) {
+    Rules.push_back(Alt.Rule);
+    ASSERT_EQ(Alt.Children.size(), 1u);
+    EXPECT_EQ(Alt.Children[0], C2);
+  }
+  EXPECT_EQ(Rules, (std::vector<RuleId>{0, 1, 2}));
 }
 
 TEST(Forest, CountTreesMultipliesChildren) {
@@ -143,24 +197,6 @@ TEST(Forest, SharingShrinksNodeCount) {
 }
 
 namespace {
-
-/// Runs \p Fn on one thread whose stack is \p StackBytes, and joins it.
-bool runOnSmallStack(size_t StackBytes, std::function<void()> Fn) {
-  pthread_attr_t Attr;
-  if (pthread_attr_init(&Attr) != 0)
-    return false;
-  bool Ok = pthread_attr_setstacksize(&Attr, StackBytes) == 0;
-  pthread_t Thread;
-  Ok = Ok && pthread_create(
-                 &Thread, &Attr,
-                 [](void *Arg) -> void * {
-                   (*static_cast<std::function<void()> *>(Arg))();
-                   return nullptr;
-                 },
-                 &Fn) == 0;
-  pthread_attr_destroy(&Attr);
-  return Ok && pthread_join(Thread, nullptr) == 0;
-}
 
 /// Leaves under \p Root, counted without recursion.
 size_t leafCount(const TreeNode *Root) {

@@ -13,6 +13,8 @@
 
 #include "common/Corpus.h"
 #include "common/ForestCanon.h"
+#include "common/ForestSpans.h"
+#include "common/SmallStack.h"
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 
@@ -144,7 +146,43 @@ TEST(ParseDocumentTest, SingleTokenEditGraftsWithBoundedWork) {
   EXPECT_LE(Stats.GssNodesConstructed * 5, Scratch.GssNodes)
       << "grafted " << Stats.GssNodesConstructed << " vs scratch "
       << Scratch.GssNodes;
+  // The old suffix forest moves into place: the forest nodes made are
+  // those of the re-stepped layers, not of the suffix (a copying graft
+  // made about one per suffix token).
+  EXPECT_LE(Stats.ForestNodesCreated, 32u);
+  EXPECT_EQ(forestSpanViolation(Doc.result().Root, Doc.tokens()), "");
   expectMatchesScratch(Doc, true, "json single-token graft");
+}
+
+// The graft walks the suffix forest on an explicit stack: a document
+// nested 50k deep, edited near its start, re-parses on a 256 KB stack.
+TEST(ParseDocumentTest, DeepNestingGraftsOnASmallStack) {
+  Grammar G;
+  loadCase("json", G);
+  Ipg Gen(G);
+  const SymbolId Open = G.symbols().lookup("[");
+  const SymbolId Close = G.symbols().lookup("]");
+  const SymbolId Number = G.symbols().lookup("number");
+  constexpr size_t Depth = 50000;
+  std::vector<SymbolId> Tokens(Depth, Open);
+  Tokens.push_back(Number);
+  Tokens.insert(Tokens.end(), Depth, Close);
+
+  ParseDocument Doc(Gen.graph());
+  Doc.setTokens(Tokens);
+  ASSERT_TRUE(Doc.reparse().Accepted);
+  Doc.replace(2, 3, ArrayView<SymbolId>(&Open, 1));
+  bool Accepted = false;
+  ASSERT_TRUE(runOnSmallStack(256 * 1024,
+                              [&] { Accepted = Doc.reparse().Accepted; }));
+  EXPECT_EQ(Doc.lastReparse().Path, ReparseStats::Grafted);
+
+  Forest RF;
+  GlrResult Ref = referenceParse(Gen.graph(), Doc.tokens(), RF);
+  ASSERT_EQ(Ref.Accepted, Accepted);
+  EXPECT_EQ(RF.countTrees(Ref.Root, TreeCap),
+            Doc.forest().countTrees(Doc.result().Root, TreeCap));
+  EXPECT_EQ(forestSpanViolation(Doc.result().Root, Doc.tokens()), "");
 }
 
 TEST(ParseDocumentTest, InsertAndEraseChangeLength) {
@@ -349,6 +387,8 @@ TEST_P(ParseDocumentSweep, FuzzedEditScriptsMatchScratch) {
     Doc.reparse();
     expectMatchesScratch(Doc, Sweep.Canon,
                          std::string(Sweep.Name) + " seed baseline");
+    EXPECT_EQ(forestSpanViolation(Doc.result().Root, Doc.tokens()), "")
+        << Sweep.Name << " seed baseline";
 
     Prng Rng(Seed * 7919 + 17);
     for (int Step = 0; Step < 12; ++Step) {
@@ -371,6 +411,9 @@ TEST_P(ParseDocumentSweep, FuzzedEditScriptsMatchScratch) {
                            std::string(Sweep.Name) + " seed " +
                                std::to_string(Seed) + " step " +
                                std::to_string(Step));
+      // Tree counts cannot see a wrongly shifted span; this can.
+      EXPECT_EQ(forestSpanViolation(Doc.result().Root, Doc.tokens()), "")
+          << Sweep.Name << " seed " << Seed << " step " << Step;
       if (::testing::Test::HasFailure())
         return;
     }

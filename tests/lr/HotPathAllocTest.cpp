@@ -4,14 +4,18 @@
 /// The steady-state query-path contract behind the §5 cost argument: once
 /// a set of items is Complete, ACTION (actionsView / forEachAction) and
 /// GOTO perform ZERO heap allocations. Enforced by replacing the global
-/// operator new with a counting one — this suite must therefore stay in
-/// its own test executable (see tests/CMakeLists.txt).
+/// operator new with a counting one (CountingNew.cpp) — this suite must
+/// therefore stay in its own test executable (see tests/CMakeLists.txt).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CountingNew.h"
+
+#include "common/Corpus.h"
 #include "common/GraphWalk.h"
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
+#include "incremental/ParseDocument.h"
 #include "lr/ItemSetGraph.h"
 #include "sdf/Samples.h"
 #include "sdf/SdfLanguage.h"
@@ -21,91 +25,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
-
-#if defined(_MSC_VER)
-#include <malloc.h>
-#endif
-
-namespace {
-
-/// Number of global operator new calls since process start. Plain (not
-/// atomic): the suite is single-threaded and the counter is only compared
-/// across points on one thread.
-unsigned long long AllocCount = 0;
-
-} // namespace
-
-void *operator new(std::size_t Size) {
-  ++AllocCount;
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new[](std::size_t Size) { return ::operator new(Size); }
-
-// Aligned and nothrow forms count too: an over-aligned type sneaking onto
-// the query path must not dodge the zero-allocation assertion. MSVC's UCRT
-// has no aligned_alloc; its _aligned_malloc/_aligned_free pair is used
-// there (the aligned deletes below free with the matching function).
-namespace {
-
-void *alignedAllocCounted(std::size_t Size, std::size_t Align) {
-  ++AllocCount;
-#if defined(_MSC_VER)
-  return _aligned_malloc(Size ? Size : Align, Align);
-#else
-  std::size_t Rounded = (Size + Align - 1) & ~(Align - 1);
-  return std::aligned_alloc(Align, Rounded ? Rounded : Align);
-#endif
-}
-void alignedFree(void *P) noexcept {
-#if defined(_MSC_VER)
-  _aligned_free(P);
-#else
-  std::free(P);
-#endif
-}
-
-} // namespace
-
-void *operator new(std::size_t Size, std::align_val_t Align) {
-  if (void *P = alignedAllocCounted(Size, static_cast<std::size_t>(Align)))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Size, std::align_val_t Align) {
-  return ::operator new(Size, Align);
-}
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  ++AllocCount;
-  return std::malloc(Size ? Size : 1);
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  ++AllocCount;
-  return std::malloc(Size ? Size : 1);
-}
-
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { alignedFree(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { alignedFree(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  alignedFree(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  alignedFree(P);
-}
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
+#include <algorithm>
+#include <string>
 
 using namespace ipg;
 using namespace ipg::testing;
@@ -115,14 +36,15 @@ namespace {
 /// Counts allocations across \p Fn; the EXPECT runs outside the window so
 /// gtest's own bookkeeping never leaks into the measurement.
 template <typename FnT> unsigned long long allocationsDuring(FnT &&Fn) {
-  unsigned long long Before = AllocCount;
+  unsigned long long Before = allocationCount();
   Fn();
-  return AllocCount - Before;
+  return allocationCount() - Before;
 }
 
 TEST(HotPathAlloc, CountingOperatorNewIsLive) {
   unsigned long long Allocs = allocationsDuring([] {
-    std::vector<int> *V = new std::vector<int>(100, 7);
+    // The volatile pointer escapes, so the pair cannot be elided.
+    std::vector<int> *volatile V = new std::vector<int>(100, 7);
     delete V;
   });
   EXPECT_GE(Allocs, 2ull) << "the counting operator new must be installed";
@@ -325,6 +247,53 @@ TEST(HotPathAlloc, WarmSdfParseIntoFreshForestMakesConstantAllocations) {
     EXPECT_LE(Allocs, 64ull)
         << sdfSamples()[I].Name << " (" << Inputs[I].size() << " tokens)";
   }
+}
+
+// The keystroke path's storage contract: once a session has grafted, a
+// mid-document single-token graft reuses the engine's and the forest's
+// pools and the convergence maps, and it moves the old suffix forest
+// instead of copying it. So it makes a few allocations, never one per
+// suffix node.
+TEST(HotPathAlloc, WarmMidDocumentGraftMakesConstantAllocations) {
+  Expected<std::vector<CorpusCase>> Corpus = loadCorpusDir(IPG_CORPUS_DIR);
+  ASSERT_TRUE(Corpus);
+  auto Json = std::find_if(Corpus->begin(), Corpus->end(), [](auto &C) {
+    return C.Name == "json";
+  });
+  ASSERT_NE(Json, Corpus->end());
+  Grammar G;
+  ASSERT_TRUE(Json->build(G));
+  std::string Text = Json->Bench.Prefix;
+  for (int I = 0; I < 300; ++I) {
+    Text += ' ';
+    Text += Json->Bench.Unit;
+  }
+  Text += ' ';
+  Text += Json->Bench.Suffix;
+
+  Ipg Gen(G);
+  ParseDocument Doc(Gen.graph());
+  Doc.setTokens(sentence(G, Text));
+  ASSERT_TRUE(Doc.reparse().Accepted);
+  const SymbolId Number = G.symbols().lookup("number");
+  const SymbolId True = G.symbols().lookup("true");
+  size_t Mid = Doc.size() / 2;
+  while (Doc.tokens()[Mid] != Number)
+    ++Mid;
+
+  // Warm-up: the first graft sizes the convergence maps.
+  Doc.replace(Mid, Mid + 1, ArrayView<SymbolId>(&True, 1));
+  ASSERT_TRUE(Doc.reparse().Accepted);
+  ASSERT_EQ(Doc.lastReparse().Path, ReparseStats::Grafted);
+
+  bool Accepted = false;
+  unsigned long long Allocs = allocationsDuring([&] {
+    Doc.replace(Mid, Mid + 1, ArrayView<SymbolId>(&Number, 1));
+    Accepted = Doc.reparse().Accepted;
+  });
+  EXPECT_TRUE(Accepted);
+  EXPECT_EQ(Doc.lastReparse().Path, ReparseStats::Grafted);
+  EXPECT_LE(Allocs, 64ull) << Doc.size() << " tokens";
 }
 
 } // namespace
