@@ -19,17 +19,24 @@
 /// save-after-load identity is a layout invariant, not just a
 /// decode-encode symmetry).
 ///
+/// A last phase times the suspended-parse (PARS) rider on the corpus
+/// JSON list grammar: saving a finished 20k-token parse (2k under
+/// `--reduced`), resuming it in a fresh generator, and a scratch parse
+/// of the same tokens, plus the rider's bytes per token.
+///
 //===----------------------------------------------------------------------===//
 
 #include "common/BenchHarness.h"
 #include "common/BenchSupport.h"
+#include "common/Corpus.h"
 #include "common/ScaledSdf.h"
 
 #include "core/Ipg.h"
+#include "incremental/ParseSnapshot.h"
 #include "sdf/Samples.h"
 #include "sdf/SdfLanguage.h"
 #include "sdf/SdfLexer.h"
-#include "support/ByteStream.h"
+#include "support/MappedFile.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -37,6 +44,7 @@
 
 using namespace ipg;
 using namespace ipg::bench;
+using namespace ipg::testing;
 
 namespace {
 
@@ -56,6 +64,30 @@ bool filesEqual(const std::string &A, const std::string &B) {
   Expected<std::vector<uint8_t>> BytesA = readFileBytes(A);
   Expected<std::vector<uint8_t>> BytesB = readFileBytes(B);
   return BytesA && BytesB && *BytesA == *BytesB;
+}
+
+/// Builds the corpus JSON grammar into \p G and the list
+/// `[ number , number , ... ]` of \p Tokens tokens (odd, >= 3).
+bool buildJsonList(Grammar &G, size_t Tokens, std::vector<SymbolId> &Out) {
+  Expected<std::vector<CorpusCase>> Corpus = loadCorpusDir(IPG_CORPUS_DIR);
+  if (!Corpus)
+    return false;
+  for (const CorpusCase &Case : *Corpus) {
+    if (Case.Name != "json" || !Case.build(G))
+      continue;
+    const SymbolId Open = G.symbols().lookup("["),
+                   Close = G.symbols().lookup("]"),
+                   Comma = G.symbols().lookup(","),
+                   Number = G.symbols().lookup("number");
+    Out = {Open, Number};
+    while (Out.size() + 3 <= Tokens) {
+      Out.push_back(Comma);
+      Out.push_back(Number);
+    }
+    Out.push_back(Close);
+    return true;
+  }
+  return false;
 }
 
 } // namespace
@@ -197,6 +229,48 @@ int main(int argc, char **argv) {
                     Gen.recognize(ModifiedTokens);
                   }).Median;
 
+  // PARS: a finished parse saved with its graph, then resumed in a fresh
+  // generator over a replica grammar — against parsing the same tokens
+  // from scratch on a warm graph.
+  const std::string ParsSnap = "warm_start_pars.snapshot";
+  Grammar JG;
+  std::vector<SymbolId> JsonTokens;
+  bool ParsOk = buildJsonList(JG, H.reduced() ? 2001 : 20001, JsonTokens);
+  Ipg JGen(JG);
+  ParseDocument JDoc(JGen.graph());
+  JDoc.setTokens(JsonTokens);
+  ParsOk = ParsOk && JDoc.reparse().Accepted;
+  size_t ParsFileBytes = 0, PlainBytes = 0;
+  double ParsSave = H.measure("warm_start/pars_save", 9, [&] {
+                      Expected<size_t> Saved =
+                          ParseSnapshot::save(JGen, JDoc, ParsSnap);
+                      ParsOk = ParsOk && static_cast<bool>(Saved);
+                      ParsFileBytes = Saved ? *Saved : 0;
+                    }).Median;
+  if (Expected<size_t> Plain = JGen.saveSnapshot(ParsSnap + ".plain"))
+    PlainBytes = *Plain;
+  std::remove((ParsSnap + ".plain").c_str());
+  double ParsResume = H.measure("warm_start/pars_resume", 9, [&] {
+                        Grammar G2;
+                        Grammar::cloneExact(JG, G2);
+                        Ipg Gen2(G2);
+                        Expected<std::unique_ptr<ParseDocument>> Doc =
+                            ParseSnapshot::resume(Gen2, ParsSnap);
+                        ParsOk = ParsOk && Doc &&
+                                 (*Doc)->result().Accepted;
+                      }).Median;
+  double ParsScratch = H.measure("warm_start/pars_scratch_parse", 9, [&] {
+                         ParseDocument Doc(JGen.graph());
+                         Doc.setTokens(JsonTokens);
+                         ParsOk = ParsOk && Doc.reparse().Accepted;
+                       }).Median;
+  std::remove(ParsSnap.c_str());
+  const double ParsBytesPerToken =
+      ParsOk && ParsFileBytes > PlainBytes
+          ? static_cast<double>(ParsFileBytes - PlainBytes) /
+                static_cast<double>(JsonTokens.size())
+          : 0.0;
+
   TextTable Table({"scenario", "median", "vs cold"});
   Table.addRow({"cold generateAll", ms(Cold), "1.00x"});
   Table.addRow({"snapshot save (pool memcpy)", ms(Save), "-"});
@@ -206,6 +280,10 @@ int main(int argc, char **argv) {
   Table.addRow({"regenerate + parse", ms(Regen),
                 formatSeconds(Regen / Repair, 2) + "x slower than repair"});
   Table.print();
+  std::printf("\nsuspended parse (PARS), %zu-token JSON list: save %s, "
+              "resume %s, scratch parse %s, %.1f rider bytes/token\n",
+              JsonTokens.size(), ms(ParsSave).c_str(), ms(ParsResume).c_str(),
+              ms(ParsScratch).c_str(), ParsBytesPerToken);
   std::printf("\nsnapshot: %zu bytes, %zu states; repair delta: +%zu/-%zu "
               "rules, %llu re-expansions\n",
               SnapBytes, ColdStates, RulesAdded, RulesRemoved,
@@ -217,6 +295,9 @@ int main(int argc, char **argv) {
   H.report().addCounter("warm_start/repair_rules_removed", RulesRemoved);
   H.report().addCounter("warm_start/repair_re_expansions",
                         RepairReExpansions);
+  H.report().addCounter("warm_start/pars_tokens", JsonTokens.size());
+  H.report().addScalar("warm_start/pars_bytes_per_token", ParsBytesPerToken,
+                       "bytes");
   H.report().addScalar("warm_start/load_speedup_vs_cold_v2", Cold / Load,
                        "ratio");
   H.report().addScalar("warm_start/repair_speedup_vs_regen", Regen / Repair,
@@ -252,6 +333,7 @@ int main(int argc, char **argv) {
           "repair re-expands a small fraction of the table");
   H.check(Repair < Regen * NoiseBand,
           "stale-snapshot repair is at least on par with full regeneration");
+  H.check(ParsOk, "PARS save and resume of the JSON list keep its verdict");
   if (trace::enabled())
     H.check(ReExpandSpans == RepairReExpansions,
             "trace lr.reexpand span count equals the stale repair's "

@@ -58,9 +58,11 @@
 #ifndef IPG_CORE_SNAPSHOT_H
 #define IPG_CORE_SNAPSHOT_H
 
-#include "support/ByteStream.h"
+#include "support/FlatSection.h"
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 namespace ipg {
 

@@ -144,12 +144,9 @@ void Forest::growIndex() {
 
 ForestNode *Forest::restoreNode(SymbolId Sym, uint32_t Start, uint32_t End,
                                 bool IsToken) {
-  return make(Sym, Start, End, IsToken);
-}
-
-void Forest::indexRestored(ForestNode *Node) {
-  Node->Epoch = CurEpoch;
-  insert(spanHash(Node->Sym, Node->Start, Node->End, Node->IsToken), Node);
+  ForestNode *Node = make(Sym, Start, End, IsToken);
+  insert(spanHash(Sym, Start, End, IsToken), Node);
+  return Node;
 }
 
 void Forest::eraseEntry(uint64_t Hash, const ForestNode *Node) {

@@ -180,15 +180,12 @@ public:
 
   /// Creates a node bypassing the packing lookup — the suspended-parse
   /// decoder rebuilds nodes 1:1 and must keep intentionally-distinct
-  /// duplicates distinct. The node is NOT put in the packing index; call
-  /// indexRestored() to publish it. Alternatives are attached with
+  /// duplicates distinct — and files it in the packing index at the
+  /// current epoch, after any node already there under the same key, so
+  /// subsequent derivations pack onto it. Alternatives are attached with
   /// addAlternative().
   ForestNode *restoreNode(SymbolId Sym, uint32_t Start, uint32_t End,
                           bool IsToken);
-
-  /// Publishes a restoreNode()d node to the packing index (stamped with
-  /// the current epoch) so subsequent derivations pack onto it.
-  void indexRestored(ForestNode *Node);
 
   /// The valid token node for input position \p Index, or null. Never
   /// creates one.
@@ -216,11 +213,6 @@ public:
     }
     dropDuplicateAlternatives(Node);
     rekey(Node, Start, End);
-  }
-
-  /// Visits all nodes ever made, in creation order (serialization walk).
-  template <typename FnT> void forEachNode(FnT &&Fn) const {
-    Nodes.forEach(Fn);
   }
 
 private:

@@ -29,11 +29,14 @@
 /// guarantee, and a suspended stack over a *different* grammar is not a
 /// parse worth continuing anyway.
 ///
-/// The PARS body is a ByteStream varint record (dense; extras are not
-/// mmap-adopted). Every index is bounds-checked on decode and the
-/// structural invariants (record/position agreement, sorted record
-/// frontiers, edge targets in earlier-or-equal layers) are validated, so
-/// a corrupted rider is rejected rather than seated.
+/// The PARS body is a FlatSection record (support/FlatSection.h): a
+/// header of counts, result fields and array offsets, then fixed-width
+/// arrays of tokens, forest nodes, alternatives, child ids, GSS nodes,
+/// edges and checkpoint records. Resume seats each array with one bounds
+/// check and validates every index and structural invariant (spans and
+/// rule shapes, edges along graph transitions, record/position
+/// agreement, sorted record frontiers) before building anything, so a
+/// corrupted rider is rejected rather than seated.
 ///
 //===----------------------------------------------------------------------===//
 

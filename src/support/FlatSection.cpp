@@ -2,7 +2,7 @@
 
 #include "support/FlatSection.h"
 
-#include "support/ByteStream.h"
+#include "support/MappedFile.h"
 
 using namespace ipg;
 

@@ -1,14 +1,13 @@
 //===- support/FlatSection.h - Flat, aligned binary sections ----*- C++ -*-===//
 ///
 /// \file
-/// The fixed-width, alignment-padded sibling of ByteStream, built for the
-/// `ipg-snap-v2` zero-copy snapshot layout. ByteStream optimizes for
-/// density (varints) and pays a per-record decode on load; FlatSection
-/// optimizes for *adoption*: every array is written at its natural
-/// alignment in little-endian fixed-width records, so a loader on a
-/// little-endian host can bounds-check the offsets and then point straight
-/// into the (mapped) buffer — no per-record decode, no per-record
-/// allocation.
+/// The one binary codec of the tree: every section of an `ipg-snap-v2`
+/// snapshot (GRAM, GRPH and the PARS suspended-parse rider) is written
+/// with it. It optimizes for *adoption*: every array is written at its
+/// natural alignment in little-endian fixed-width records, so a loader on
+/// a little-endian host can bounds-check the offsets and then point
+/// straight into the (mapped) buffer — no per-record decode, no
+/// per-record allocation.
 ///
 /// FlatWriter appends explicitly little-endian bytes (deterministic across
 /// platforms and build types — the snapshot determinism CI contract) with
@@ -168,6 +167,14 @@ private:
   const uint8_t *Base = nullptr;
   size_t Bytes = 0;
 };
+
+/// Packs four characters into a section tag ("PARS" etc.).
+constexpr uint32_t fourCC(char A, char B, char C, char D) {
+  return static_cast<uint32_t>(static_cast<uint8_t>(A)) |
+         static_cast<uint32_t>(static_cast<uint8_t>(B)) << 8 |
+         static_cast<uint32_t>(static_cast<uint8_t>(C)) << 16 |
+         static_cast<uint32_t>(static_cast<uint8_t>(D)) << 24;
+}
 
 } // namespace ipg
 

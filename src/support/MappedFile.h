@@ -15,6 +15,10 @@
 /// until the graph is reset or replaced; never destroy a mapping while a
 /// graph still borrows from it.
 ///
+/// The two whole-file helpers live here too: readFileBytes, and the
+/// atomic write-then-rename every snapshot save goes through (it is what
+/// keeps such a mapping of the old file intact while a new one is saved).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPG_SUPPORT_MAPPEDFILE_H
@@ -25,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ipg {
 
@@ -76,6 +81,19 @@ private:
   size_t Bytes = 0;
   bool HeapFallback = false;
 };
+
+/// Reads a whole file into memory.
+Expected<std::vector<uint8_t>> readFileBytes(const std::string &Path);
+
+/// Writes \p Size bytes at \p Data to \p Path *atomically*: the bytes go
+/// to a temporary sibling first, which is renamed over \p Path only after
+/// a complete write. Readers (and live MAP_PRIVATE mappings of the old
+/// file — the zero-copy snapshot loader keeps those) always see either
+/// the complete old inode or the complete new one, never a truncated
+/// in-between. Used by FlatWriter::writeFile. Returns the byte count
+/// written.
+Expected<size_t> writeBytesToFileAtomic(const std::string &Path,
+                                        const void *Data, size_t Size);
 
 } // namespace ipg
 

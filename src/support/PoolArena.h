@@ -2,10 +2,11 @@
 ///
 /// \file
 /// The storage primitive behind the flat-arena live graph: a typed,
-/// append-only pool whose elements NEVER move. The arena reserves a large
-/// span of virtual address space up front (MAP_NORESERVE on POSIX,
-/// MEM_RESERVE + on-demand commit on Windows) and appends into it, so
-/// pointers and offsets handed out stay valid across any amount of growth
+/// append-only pool whose elements NEVER move. Each pool appends into its
+/// region of one ArenaReservation — a large span of virtual address space
+/// reserved up front (MAP_NORESERVE on POSIX, MEM_RESERVE + on-demand
+/// commit on Windows) — so pointers and offsets handed out stay valid
+/// across any amount of growth
 /// — the pool-growth stability contract that lets GLR stacks hold
 /// `ItemSet *` and readers walk spans while EXPAND appends concurrently.
 ///
@@ -15,7 +16,7 @@
 ///   - an optional *base* segment adopted zero-copy from an external
 ///     buffer (a mapped snapshot) via adoptBase(); offsets [0, baseSize())
 ///     resolve there and are read-only, and
-///   - the *grow* segment, the arena's own reservation, holding
+///   - the *grow* segment, the pool's reservation region, holding
 ///     everything appended live; offsets [baseSize(), size()) resolve
 ///     there and are writable.
 ///
@@ -175,46 +176,14 @@ template <typename T> class PoolArena {
                 "trivially copyable");
 
 public:
-  /// Reserves virtual address space for \p MaxElements up front. The
-  /// reservation is uncommitted until touched, so a generous capacity
-  /// costs nothing physical.
-  explicit PoolArena(size_t MaxElements) : Capacity(MaxElements) {
-    const size_t Bytes = Capacity * sizeof(T);
-#if defined(_WIN32)
-    Grow = static_cast<T *>(
-        VirtualAlloc(nullptr, Bytes, MEM_RESERVE, PAGE_READWRITE));
-#else
-    void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    Grow = P == MAP_FAILED ? nullptr : static_cast<T *>(P);
-#endif
-    if (!Grow) {
-      std::fprintf(stderr,
-                   "ipg: PoolArena failed to reserve %zu bytes of address "
-                   "space\n",
-                   Bytes);
-      std::abort();
-    }
-  }
-
   /// Wraps \p Reservation — \p MaxElements elements of externally
   /// reserved, uncommitted address space (an ArenaReservation region) —
   /// without taking ownership; the reservation must outlive the pool.
   PoolArena(T *Reservation, size_t MaxElements)
-      : Grow(Reservation), Capacity(MaxElements), OwnsGrow(false) {}
+      : Grow(Reservation), Capacity(MaxElements) {}
 
   PoolArena(const PoolArena &) = delete;
   PoolArena &operator=(const PoolArena &) = delete;
-
-  ~PoolArena() {
-    if (!OwnsGrow)
-      return;
-#if defined(_WIN32)
-    VirtualFree(Grow, 0, MEM_RELEASE);
-#else
-    munmap(Grow, Capacity * sizeof(T));
-#endif
-  }
 
   /// Points the base segment at \p N externally owned elements (a mapped
   /// snapshot section) without copying. Only legal on an empty pool; the
@@ -310,10 +279,9 @@ private:
 
   const T *Base = nullptr; ///< Adopted snapshot segment (read-only).
   size_t BaseLen = 0;
-  T *Grow = nullptr; ///< This arena's reservation; elements never move.
+  T *Grow = nullptr; ///< The pool's reservation region; elements never move.
   size_t GrowLen = 0;
   size_t Capacity = 0;
-  bool OwnsGrow = true; ///< False when Grow is an ArenaReservation region.
 #if defined(_WIN32)
   size_t CommittedBytes = 0;
   static constexpr size_t CommitChunk = 1 << 20;

@@ -14,6 +14,7 @@
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 #include "grammar/GrammarIO.h"
+#include "support/MappedFile.h"
 
 #include <gtest/gtest.h>
 

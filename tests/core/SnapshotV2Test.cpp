@@ -24,12 +24,13 @@
 
 #include "common/GraphCanon.h"
 #include "common/IndexCheck.h"
+#include "common/SnapshotReseal.h"
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
 #include "grammar/GrammarBuilder.h"
 #include "grammar/GrammarIO.h"
 #include "lr/GraphSnapshot.h"
-#include "support/Hashing.h"
+#include "support/MappedFile.h"
 
 #include <gtest/gtest.h>
 
@@ -193,21 +194,6 @@ void buildLayered(Grammar &G, int Layers) {
 /// through the mapping.
 size_t countBorrowed(const ItemSetGraph &Graph) {
   return Graph.numAdoptedSets();
-}
-
-/// Recomputes both v2 checksums after a test mutated header fields, so
-/// the mutation reaches the validation stage it targets instead of being
-/// masked by a checksum mismatch.
-void resealV2(std::vector<uint8_t> &File) {
-  ASSERT_GE(File.size(), SnapshotV2HeaderBytes);
-  auto PatchU64 = [&](size_t Off, uint64_t Value) {
-    for (int I = 0; I < 8; ++I)
-      File[Off + static_cast<size_t>(I)] =
-          static_cast<uint8_t>(Value >> (8 * I));
-  };
-  PatchU64(64, hashBytesFast(File.data() + SnapshotV2HeaderBytes,
-                             File.size() - SnapshotV2HeaderBytes));
-  PatchU64(72, hashBytes(File.data(), SnapshotV2HeaderChecksumBytes));
 }
 
 /// Little-endian field reads and writes on a snapshot image.

@@ -12,8 +12,10 @@
 
 #include "common/Corpus.h"
 #include "common/ForestCanon.h"
+#include "common/SnapshotReseal.h"
 #include "common/TestGrammars.h"
 #include "core/Ipg.h"
+#include "support/MappedFile.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace ipg;
@@ -152,6 +155,37 @@ TEST(ParseSnapshotTest, ResumedDocumentSupportsBoundedReparse) {
   GlrResult R = Ref.parse(TokenView((*Doc2)->tokens()), RF);
   ASSERT_TRUE(R.Accepted);
   EXPECT_EQ(canonForest(R.Root), canonForest((*Doc2)->result().Root));
+}
+
+TEST(ParseSnapshotTest, GraftedDocumentRoundTrips) {
+  Grammar G;
+  CorpusCase Case = loadJson(G);
+  Ipg Gen(G);
+  ParseDocument Doc(Gen.graph());
+  Doc.setTokens(pumpedJson(G, Case, 60));
+  ASSERT_TRUE(Doc.reparse().Accepted);
+
+  // A grafted re-parse moves old GSS layers and forest spans in place;
+  // the saved parse must still satisfy every invariant resume checks.
+  const SymbolId True = G.symbols().lookup("true");
+  const SymbolId Number = G.symbols().lookup("number");
+  size_t Mid = Doc.size() / 3;
+  while (Doc.tokens()[Mid] != Number)
+    ++Mid;
+  Doc.replace(Mid, Mid + 1, ArrayView<SymbolId>(&True, 1));
+  ASSERT_TRUE(Doc.reparse().Accepted);
+  ASSERT_EQ(Doc.lastReparse().Path, ReparseStats::Grafted);
+
+  TempFile Snap("pars-grafted");
+  ASSERT_TRUE(ParseSnapshot::save(Gen, Doc, Snap.str()));
+  Grammar G2;
+  Grammar::cloneExact(G, G2);
+  Ipg Gen2(G2);
+  Expected<std::unique_ptr<ParseDocument>> Doc2 =
+      ParseSnapshot::resume(Gen2, Snap.str());
+  ASSERT_TRUE(Doc2) << (Doc2 ? "" : Doc2.error().str());
+  EXPECT_EQ(canonForest((*Doc2)->result().Root),
+            canonForest(Doc.result().Root));
 }
 
 TEST(ParseSnapshotTest, FinishedRoundTripKeepsVerdict) {
@@ -319,6 +353,214 @@ TEST(ParseSnapshotTest, MissingRiderAndV1AreErrors) {
       ParseSnapshot::resume(Gen2, Snap.str());
   ASSERT_FALSE(Resumed);
   EXPECT_NE(Resumed.error().Message.find("ipg-snap-v1"), std::string::npos)
+      << Resumed.error().str();
+  EXPECT_TRUE(Gen2.recognize(sentence(G2, "true")));
+}
+
+/// The byte range [Begin, End) of the PARS body in the snapshot image
+/// \p File: its frame is the first one behind GRPH.
+std::pair<size_t, size_t> parsBody(const std::vector<uint8_t> &File) {
+  auto Le64 = [&](size_t Off) {
+    uint64_t Value = 0;
+    for (int I = 0; I < 8; ++I)
+      Value |= static_cast<uint64_t>(File[Off + static_cast<size_t>(I)])
+               << (8 * I);
+    return static_cast<size_t>(Value);
+  };
+  const size_t Frame = (Le64(48) + Le64(56) + 7) & ~size_t{7};
+  EXPECT_EQ(Le64(Frame) & 0xffffffffu, SnapshotParsTag);
+  return {Frame + 16, Frame + 16 + Le64(Frame + 8)};
+}
+
+/// Resumes \p Path over a replica of \p G. A rejected file yields null;
+/// an accepted one must finish its parse.
+std::unique_ptr<ParseDocument> resumeAndFinish(const Grammar &G,
+                                               const std::string &Path) {
+  Grammar G2;
+  Grammar::cloneExact(G, G2);
+  Ipg Gen2(G2);
+  Expected<std::unique_ptr<ParseDocument>> Doc =
+      ParseSnapshot::resume(Gen2, Path);
+  if (!Doc)
+    return nullptr;
+  const GlrResult &R = (*Doc)->reparse();
+  if (R.Root)
+    (void)(*Doc)->forest().countTrees(R.Root);
+  return Doc.take();
+}
+
+/// Flips bit 0 and bit 7 of every PARS body byte of the file at \p Path,
+/// one mutation at a time, reseals the checksums so each reaches the
+/// decoder, and resumes. Each must be rejected or finish its parse.
+void sweepParsBody(const Grammar &G, const std::string &Path) {
+  Expected<std::vector<uint8_t>> Good = readFileBytes(Path);
+  ASSERT_TRUE(Good);
+  const auto [Begin, End] = parsBody(*Good);
+  ASSERT_EQ(End, Good->size());
+  size_t Rejected = 0;
+  for (size_t I = Begin; I < End; ++I)
+    for (uint8_t Mask : {uint8_t{0x01}, uint8_t{0x80}}) {
+      std::vector<uint8_t> Bad = *Good;
+      Bad[I] = static_cast<uint8_t>(Bad[I] ^ Mask);
+      resealV2(Bad);
+      ASSERT_TRUE(writeBytesToFileAtomic(Path, Bad.data(), Bad.size()));
+      SCOPED_TRACE(::testing::Message()
+                   << "body byte " << I - Begin << " ^ " << int{Mask});
+      if (!resumeAndFinish(G, Path))
+        ++Rejected;
+    }
+  // The version byte alone rejects two mutations; the index fields many
+  // more.
+  EXPECT_GT(Rejected, (End - Begin) / 4);
+
+  // The intact file still resumes.
+  ASSERT_TRUE(writeBytesToFileAtomic(Path, Good->data(), Good->size()));
+  EXPECT_TRUE(resumeAndFinish(G, Path));
+}
+
+TEST(ParseSnapshotTest, ResealedBodyMutationsAreRejectedOrFinish) {
+  Grammar G;
+  buildBooleans(G);
+  Ipg Gen(G);
+  const std::vector<SymbolId> Tokens =
+      sentence(G, "true or false and true or false");
+
+  ParseDocument Suspended(Gen.graph());
+  Suspended.setTokens(Tokens);
+  ASSERT_TRUE(Suspended.advanceTo(4));
+  ASSERT_TRUE(Suspended.suspended());
+  TempFile SuspendedSnap("pars-sweep-suspended");
+  ASSERT_TRUE(ParseSnapshot::save(Gen, Suspended, SuspendedSnap.str()));
+  sweepParsBody(G, SuspendedSnap.str());
+
+  ParseDocument Finished(Gen.graph());
+  Finished.setTokens(Tokens);
+  ASSERT_TRUE(Finished.reparse().Accepted);
+  TempFile FinishedSnap("pars-sweep-finished");
+  ASSERT_TRUE(ParseSnapshot::save(Gen, Finished, FinishedSnap.str()));
+  sweepParsBody(G, FinishedSnap.str());
+}
+
+TEST(ParseSnapshotTest, StackStateOffItsEdgeTransitionIsRejected) {
+  // Found by the sweep above: a GSS node whose state id is flipped to
+  // another live state resumed, and the next reduction through it hit a
+  // GOTO the graph does not have.
+  Grammar G;
+  buildBooleans(G);
+  Ipg Gen(G);
+  ParseDocument Doc(Gen.graph());
+  Doc.setTokens(sentence(G, "true or false and true"));
+  ASSERT_TRUE(Doc.advanceTo(3));
+  TempFile Snap("pars-bad-state");
+  ASSERT_TRUE(ParseSnapshot::save(Gen, Doc, Snap.str()));
+
+  Expected<std::vector<uint8_t>> File = readFileBytes(Snap.str());
+  ASSERT_TRUE(File);
+  const size_t Body = parsBody(*File).first;
+  auto U32 = [&](size_t Off) {
+    uint32_t Value = 0;
+    for (int I = 0; I < 4; ++I)
+      Value |= static_cast<uint32_t>((*File)[Off + static_cast<size_t>(I)])
+               << (8 * I);
+    return Value;
+  };
+  // Header: NumGssNodes at 24, NumEdges at 28, the GSS array's offset at
+  // 136; records are {State, Layer, FirstEdge}. Give the first node with
+  // an edge the start state, which no transition enters.
+  const uint32_t NumGss = U32(Body + 24), NumEdges = U32(Body + 28);
+  const size_t Stack = Body + U32(Body + 136);
+  const uint32_t StartState = Gen.graph().startSet()->id();
+  size_t Victim = NumGss;
+  for (uint32_t I = 0; I < NumGss && Victim == NumGss; ++I) {
+    const uint32_t End = I + 1 < NumGss ? U32(Stack + 12 * (I + 1) + 8)
+                                        : NumEdges;
+    if (End > U32(Stack + 12 * I + 8))
+      Victim = I;
+  }
+  ASSERT_LT(Victim, NumGss);
+  for (int I = 0; I < 4; ++I)
+    (*File)[Stack + 12 * Victim + static_cast<size_t>(I)] =
+        static_cast<uint8_t>(StartState >> (8 * I));
+  resealV2(*File);
+  ASSERT_TRUE(writeBytesToFileAtomic(Snap.str(), File->data(), File->size()));
+
+  Grammar G2;
+  Grammar::cloneExact(G, G2);
+  Ipg Gen2(G2);
+  Expected<std::unique_ptr<ParseDocument>> Resumed =
+      ParseSnapshot::resume(Gen2, Snap.str());
+  ASSERT_FALSE(Resumed);
+  EXPECT_NE(Resumed.error().Message.find("not a transition"),
+            std::string::npos)
+      << Resumed.error().str();
+}
+
+TEST(ParseSnapshotTest, NonterminalTokenIsRejected) {
+  // Found by the sweep above under a Debug build: a token past the
+  // suspension point flipped to a nonterminal's id resumed, and the next
+  // step asked ACTION of a nonterminal.
+  Grammar G;
+  buildBooleans(G);
+  Ipg Gen(G);
+  ParseDocument Doc(Gen.graph());
+  Doc.setTokens(sentence(G, "true or false and true"));
+  ASSERT_TRUE(Doc.advanceTo(2));
+  TempFile Snap("pars-bad-token");
+  ASSERT_TRUE(ParseSnapshot::save(Gen, Doc, Snap.str()));
+
+  Expected<std::vector<uint8_t>> File = readFileBytes(Snap.str());
+  ASSERT_TRUE(File);
+  const size_t Body = parsBody(*File).first;
+  // The token array's offset is the first entry of the header's offset
+  // table (body offset 104); the last token is not parsed yet.
+  size_t Tokens = Body;
+  for (int I = 0; I < 8; ++I)
+    Tokens += static_cast<size_t>((*File)[Body + 104 + static_cast<size_t>(I)])
+              << (8 * I);
+  const SymbolId B = G.symbols().lookup("B");
+  ASSERT_FALSE(G.symbols().isTerminal(B));
+  for (int I = 0; I < 4; ++I)
+    (*File)[Tokens + 4 * 4 + static_cast<size_t>(I)] =
+        static_cast<uint8_t>(B >> (8 * I));
+  resealV2(*File);
+  ASSERT_TRUE(writeBytesToFileAtomic(Snap.str(), File->data(), File->size()));
+
+  Grammar G2;
+  Grammar::cloneExact(G, G2);
+  Ipg Gen2(G2);
+  Expected<std::unique_ptr<ParseDocument>> Resumed =
+      ParseSnapshot::resume(Gen2, Snap.str());
+  ASSERT_FALSE(Resumed);
+  EXPECT_NE(Resumed.error().Message.find("not a terminal"), std::string::npos)
+      << Resumed.error().str();
+}
+
+TEST(ParseSnapshotTest, Version1RiderIsRejectedByName) {
+  Grammar G;
+  buildBooleans(G);
+  Ipg Gen(G);
+  ASSERT_TRUE(Gen.recognize(sentence(G, "true")));
+  TempFile Snap("pars-v1-rider");
+
+  // A version-1 (varint) body of an empty suspended parse: version 1,
+  // suspended, not resumed, position 0, no tokens, no forest, one stack
+  // node (start state, layer 0) without edges, no records, the frontier
+  // and root on that node, and a zeroed result.
+  std::vector<SnapshotExtraSection> Extras(1);
+  Extras[0].Tag = SnapshotParsTag;
+  Extras[0].Bytes = {0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+                     0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+                     0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  ASSERT_TRUE(Gen.saveSnapshot(Snap.str(), Extras));
+
+  Grammar G2;
+  Grammar::cloneExact(G, G2);
+  Ipg Gen2(G2);
+  Expected<std::unique_ptr<ParseDocument>> Resumed =
+      ParseSnapshot::resume(Gen2, Snap.str());
+  ASSERT_FALSE(Resumed);
+  EXPECT_NE(Resumed.error().Message.find("unsupported suspended-parse version"),
+            std::string::npos)
       << Resumed.error().str();
   EXPECT_TRUE(Gen2.recognize(sentence(G2, "true")));
 }

@@ -2,11 +2,15 @@
 
 #include "support/Bitset.h"
 #include "support/Expected.h"
+#include "support/FlatSection.h"
 #include "support/Hashing.h"
+#include "support/MappedFile.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace ipg;
 
@@ -109,4 +113,48 @@ TEST(Timer, MedianSecondsRuns) {
   double Median = medianSeconds(5, [&] { ++Calls; });
   EXPECT_EQ(Calls, 5);
   EXPECT_GE(Median, 0.0);
+}
+
+TEST(FlatSection, FixedWidthValuesAreLittleEndian) {
+  FlatWriter W;
+  W.writeU8(0xAB);
+  W.alignTo(4);
+  W.writeU32(0x01020304u);
+  W.writeU64(0x1122334455667788ull);
+  const std::vector<uint8_t> &B = W.buffer();
+  ASSERT_EQ(B.size(), 16u);
+  EXPECT_EQ(B[0], 0xAB);
+  EXPECT_EQ(B[1], 0x00); // Alignment padding is zero.
+  EXPECT_EQ(B[4], 0x04); // u32 low byte first.
+  EXPECT_EQ(B[7], 0x01);
+  EXPECT_EQ(B[8], 0x88); // u64 low byte first.
+  EXPECT_EQ(B[15], 0x11);
+
+  FlatView V(B.data(), B.size());
+  EXPECT_EQ(*V.u32At(4), 0x01020304u);
+  EXPECT_EQ(*V.u64At(8), 0x1122334455667788ull);
+  EXPECT_FALSE(V.u32At(13)); // Past the end: an error, not garbage.
+  EXPECT_FALSE(V.u64At(9));
+  EXPECT_EQ(fourCC('P', 'A', 'R', 'S'), 0x53524150u);
+}
+
+TEST(MappedFile, FileRoundTrip) {
+  std::string Path = ::testing::TempDir() + "flatsection_roundtrip.bin";
+  FlatWriter W;
+  W.writeU32(12345);
+  W.writeU64(67890);
+  Expected<size_t> Written =
+      writeBytesToFileAtomic(Path, W.buffer().data(), W.size());
+  ASSERT_TRUE(Written);
+  EXPECT_EQ(*Written, W.size());
+
+  Expected<std::vector<uint8_t>> Bytes = readFileBytes(Path);
+  ASSERT_TRUE(Bytes);
+  EXPECT_EQ(*Bytes, W.buffer());
+  std::remove(Path.c_str());
+
+  EXPECT_FALSE(readFileBytes(Path)); // Gone now.
+  // Directory, not a file.
+  EXPECT_FALSE(
+      writeBytesToFileAtomic(::testing::TempDir(), W.buffer().data(), W.size()));
 }

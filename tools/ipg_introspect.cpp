@@ -27,7 +27,7 @@
 
 #include "core/Ipg.h"
 #include "grammar/BnfReader.h"
-#include "support/ByteStream.h"
+#include "support/MappedFile.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
